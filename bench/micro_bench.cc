@@ -52,6 +52,23 @@ void BM_MatcherSmall(benchmark::State& state) {
 }
 BENCHMARK(BM_MatcherSmall);
 
+// One Table II pair matched under its paper option: D7 (XCBL -> Apertum,
+// context) is the costliest cold-start match, D1 (Excel -> Noris,
+// fragment) exercises the memoised parent-name path. Informational; no
+// gate reads these.
+void BM_MatchDataset(benchmark::State& state, const char* id) {
+  auto dataset = LoadDataset(id);
+  MatcherOptions opts;
+  opts.strategy = dataset->option;
+  const ComposedMatcher matcher(opts);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(matcher.Match(*dataset->source, *dataset->target));
+  }
+  state.counters["correspondences"] = dataset->matching.size();
+}
+BENCHMARK_CAPTURE(BM_MatchDataset, D7, "D7")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MatchDataset, D1, "D1")->Unit(benchmark::kMillisecond);
+
 void BM_AssignmentSolve(benchmark::State& state) {
   auto dataset = LoadDataset("D7");
   const auto problem =

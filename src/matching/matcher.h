@@ -46,6 +46,12 @@ struct MatcherOptions {
 ///
 /// Deterministic: same schemas + options => same matching. The thesaurus
 /// is injected so domains other than e-commerce can supply their own.
+///
+/// All string work happens once per schema: each Match interns canonical
+/// tokens to uint32 ids, keeps every node's token sets as sorted id arrays
+/// and every distinct name's trigrams as packed codes, and scores each
+/// distinct (source name, target name) pair once. Match holds no shared
+/// mutable state, so concurrent calls are safe.
 class ComposedMatcher {
  public:
   explicit ComposedMatcher(MatcherOptions options = {},
@@ -60,21 +66,6 @@ class ComposedMatcher {
   const MatcherOptions& options() const { return options_; }
 
  private:
-  /// Precomputed per-element features.
-  struct Features {
-    std::vector<std::string> name_tokens;       ///< canonicalized
-    std::vector<std::string> path_tokens;       ///< canonicalized, whole path
-    std::vector<std::string> child_tokens;      ///< children names
-    std::vector<std::string> leaf_tokens;       ///< descendant leaf names
-    std::string lower_name;
-  };
-
-  std::vector<Features> ComputeFeatures(const Schema& schema) const;
-
-  double PairScore(const Schema& s, const Features& fs, SchemaNodeId sid,
-                   const Schema& t, const Features& ft,
-                   SchemaNodeId tid) const;
-
   MatcherOptions options_;
   Thesaurus thesaurus_;
 };

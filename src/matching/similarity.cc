@@ -6,13 +6,41 @@
 
 namespace uxm {
 
-int LevenshteinDistance(std::string_view a, std::string_view b) {
+namespace {
+
+/// |a ∩ b| for two sorted, duplicate-free arrays.
+size_t SortedIntersectionSize(const std::vector<uint32_t>& a,
+                              const std::vector<uint32_t>& b) {
+  size_t common = 0;
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() && j != b.end()) {
+    if (*i < *j) {
+      ++i;
+    } else if (*j < *i) {
+      ++j;
+    } else {
+      ++common;
+      ++i;
+      ++j;
+    }
+  }
+  return common;
+}
+
+}  // namespace
+
+int LevenshteinDistance(std::string_view a, std::string_view b,
+                        std::vector<int>* scratch) {
   const size_t n = a.size();
   const size_t m = b.size();
   if (n == 0) return static_cast<int>(m);
   if (m == 0) return static_cast<int>(n);
-  std::vector<int> prev(m + 1);
-  std::vector<int> cur(m + 1);
+  std::vector<int> local;
+  if (scratch == nullptr) scratch = &local;
+  scratch->resize(2 * (m + 1));
+  int* prev = scratch->data();
+  int* cur = prev + (m + 1);
   for (size_t j = 0; j <= m; ++j) prev[j] = static_cast<int>(j);
   for (size_t i = 1; i <= n; ++i) {
     cur[0] = static_cast<int>(i);
@@ -25,16 +53,31 @@ int LevenshteinDistance(std::string_view a, std::string_view b) {
   return prev[m];
 }
 
-double LevenshteinSimilarity(std::string_view a, std::string_view b) {
+double LevenshteinSimilarity(std::string_view a, std::string_view b,
+                             std::vector<int>* scratch) {
   if (a.empty() && b.empty()) return 1.0;
-  const int dist = LevenshteinDistance(a, b);
+  const int dist = LevenshteinDistance(a, b, scratch);
   const double denom = static_cast<double>(std::max(a.size(), b.size()));
   return 1.0 - static_cast<double>(dist) / denom;
 }
 
-double TrigramSimilarity(std::string_view a_raw, std::string_view b_raw) {
-  const std::string a = ToLower(a_raw);
-  const std::string b = ToLower(b_raw);
+Trigrams MakeTrigrams(std::string_view name) {
+  Trigrams t;
+  t.lower = ToLower(name);
+  const std::string& s = t.lower;
+  const auto byte = [&s](size_t i) {
+    return static_cast<uint32_t>(static_cast<unsigned char>(s[i]));
+  };
+  for (size_t i = 0; i + 3 <= s.size(); ++i) {
+    t.codes.push_back(byte(i) << 16 | byte(i + 1) << 8 | byte(i + 2));
+  }
+  SortUnique(&t.codes);
+  return t;
+}
+
+double TrigramSimilarity(const Trigrams& ta, const Trigrams& tb) {
+  const std::string& a = ta.lower;
+  const std::string& b = tb.lower;
   if (a.size() < 3 || b.size() < 3) {
     if (a == b) return 1.0;
     if (!a.empty() && !b.empty() &&
@@ -43,19 +86,13 @@ double TrigramSimilarity(std::string_view a_raw, std::string_view b_raw) {
     }
     return 0.0;
   }
-  auto trigrams = [](const std::string& s) {
-    std::unordered_set<std::string> grams;
-    for (size_t i = 0; i + 3 <= s.size(); ++i) grams.insert(s.substr(i, 3));
-    return grams;
-  };
-  const auto ga = trigrams(a);
-  const auto gb = trigrams(b);
-  size_t common = 0;
-  for (const auto& g : ga) {
-    if (gb.count(g)) ++common;
-  }
+  const size_t common = SortedIntersectionSize(ta.codes, tb.codes);
   return 2.0 * static_cast<double>(common) /
-         static_cast<double>(ga.size() + gb.size());
+         static_cast<double>(ta.codes.size() + tb.codes.size());
+}
+
+double TrigramSimilarity(std::string_view a, std::string_view b) {
+  return TrigramSimilarity(MakeTrigrams(a), MakeTrigrams(b));
 }
 
 void Thesaurus::AddSynonymGroup(const std::vector<std::string>& group) {
@@ -130,39 +167,76 @@ Thesaurus Thesaurus::CommerceDefault() {
   return t;
 }
 
-double TokenSetSimilarity(const std::vector<std::string>& a,
-                          const std::vector<std::string>& b,
-                          const Thesaurus& thesaurus) {
+uint32_t TokenInterner::Intern(std::string_view token) {
+  return ids_.emplace(std::string(token), static_cast<uint32_t>(ids_.size()))
+      .first->second;
+}
+
+void SortUnique(std::vector<uint32_t>* ids) {
+  std::sort(ids->begin(), ids->end());
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+}
+
+double TokenSetSimilarity(const std::vector<uint32_t>& a,
+                          const std::vector<uint32_t>& b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
-  std::unordered_set<std::string> ca;
-  std::unordered_set<std::string> cb;
-  for (const auto& w : a) ca.insert(thesaurus.Canonical(w));
-  for (const auto& w : b) cb.insert(thesaurus.Canonical(w));
-  size_t common = 0;
-  for (const auto& w : ca) {
-    if (cb.count(w)) ++common;
-  }
-  const size_t uni = ca.size() + cb.size() - common;
-  if (uni == 0) return 1.0;
+  const size_t common = SortedIntersectionSize(a, b);
+  const size_t uni = a.size() + b.size() - common;
   // Blend Jaccard with the overlap coefficient so that containment
   // ("POLine" ⊃ "Line") is rewarded: element names in B2B standards are
   // frequently qualified supersets of each other.
   const double jaccard =
       static_cast<double>(common) / static_cast<double>(uni);
   const double overlap = static_cast<double>(common) /
-                         static_cast<double>(std::min(ca.size(), cb.size()));
+                         static_cast<double>(std::min(a.size(), b.size()));
   return 0.65 * jaccard + 0.35 * overlap;
+}
+
+double TokenSetSimilarity(const std::vector<std::string>& a,
+                          const std::vector<std::string>& b,
+                          const Thesaurus& thesaurus) {
+  TokenInterner interner;
+  auto ids = [&](const std::vector<std::string>& words) {
+    std::vector<uint32_t> out;
+    out.reserve(words.size());
+    for (const auto& w : words) {
+      out.push_back(interner.Intern(thesaurus.Canonical(w)));
+    }
+    SortUnique(&out);
+    return out;
+  };
+  const std::vector<uint32_t> ia = ids(a);
+  return TokenSetSimilarity(ia, ids(b));
+}
+
+NameFeatures MakeNameFeatures(std::string_view name,
+                              const Thesaurus& thesaurus,
+                              TokenInterner* interner) {
+  NameFeatures f;
+  for (const std::string& tok : TokenizeName(name)) {
+    f.tokens.push_back(interner->Intern(thesaurus.Canonical(tok)));
+  }
+  SortUnique(&f.tokens);
+  f.grams = MakeTrigrams(name);
+  return f;
+}
+
+double NameSimilarity(const NameFeatures& a, const NameFeatures& b,
+                      std::vector<int>* scratch) {
+  const double token = TokenSetSimilarity(a.tokens, b.tokens);
+  const double tri = TrigramSimilarity(a.grams, b.grams);
+  const double lev =
+      LevenshteinSimilarity(a.grams.lower, b.grams.lower, scratch);
+  return 0.55 * token + 0.25 * tri + 0.20 * lev;
 }
 
 double NameSimilarity(std::string_view a, std::string_view b,
                       const Thesaurus& thesaurus) {
-  const auto ta = TokenizeName(a);
-  const auto tb = TokenizeName(b);
-  const double token = TokenSetSimilarity(ta, tb, thesaurus);
-  const double tri = TrigramSimilarity(a, b);
-  const double lev = LevenshteinSimilarity(ToLower(a), ToLower(b));
-  return 0.55 * token + 0.25 * tri + 0.20 * lev;
+  TokenInterner interner;
+  const NameFeatures fa = MakeNameFeatures(a, thesaurus, &interner);
+  const NameFeatures fb = MakeNameFeatures(b, thesaurus, &interner);
+  return NameSimilarity(fa, fb);
 }
 
 }  // namespace uxm

@@ -80,7 +80,9 @@ void Schema::Finalize() {
     }
   }
 
+  height_ = 0;
   for (const SchemaNode& node : nodes_) {
+    height_ = std::max(height_, node.depth);
     path_index_.emplace(paths_[static_cast<size_t>(node.id)], node.id);
     name_index_[node.name].push_back(node.id);
   }
@@ -117,12 +119,6 @@ std::vector<SchemaNodeId> Schema::Leaves() const {
     if (n.children.empty()) out.push_back(n.id);
   }
   return out;
-}
-
-int Schema::Height() const {
-  int h = 0;
-  for (const SchemaNode& n : nodes_) h = std::max(h, n.depth);
-  return h;
 }
 
 std::vector<SchemaNodeId> Schema::FindByName(std::string_view name) const {

@@ -103,8 +103,9 @@ class Schema {
   /// All leaves of the tree.
   std::vector<SchemaNodeId> Leaves() const;
 
-  /// Height of the tree (root-only tree has height 0).
-  int Height() const;
+  /// Height of the tree (root-only tree has height 0). Computed by
+  /// Finalize(); 0 before it.
+  int Height() const { return height_; }
 
   /// Finds nodes whose tag equals `name` (schemas may reuse tags in
   /// different contexts, like ContactName in Figure 1).
@@ -132,6 +133,7 @@ class Schema {
   std::vector<int> subtree_size_;
   std::vector<int> pre_rank_;
   std::vector<SchemaNodeId> post_order_;
+  int height_ = 0;
   std::unordered_map<std::string, SchemaNodeId> path_index_;
   std::unordered_map<std::string, std::vector<SchemaNodeId>> name_index_;
   bool finalized_ = false;

@@ -623,11 +623,12 @@ TEST(TopKTrackerTest, TracksTheKthBestProbability) {
 
 // The deterministic bound-driven pruning scenario: a skewed multi-pair
 // corpus where hot documents answer with probability ~1 and every cold
-// pair's answer upper bound is ~0.11. With a single worker the claim
-// order is the bound order, so the scheduler's accounting is exact: the
-// hot documents evaluate, the cold documents of the first wave abort in
-// flight once the threshold rises, and the rest are pruned undispatched
-// — while the answers stay bit-identical to the exhaustive fan-out.
+// pair's answer upper bound is ~0.11. With one shard and a single worker
+// the claim order is the bound order, so the scheduler's accounting is
+// exact: the hot documents evaluate, the cold documents of the first wave
+// abort in flight once the threshold rises, and the rest are pruned
+// undispatched — while the answers stay bit-identical to the exhaustive
+// fan-out.
 TEST(BoundedCorpusTest, SkewedCorpusPrunesAbortsAndMatchesExhaustive) {
   SkewedCorpusOptions gen;
   gen.hot_documents = 2;
@@ -640,6 +641,7 @@ TEST(BoundedCorpusTest, SkewedCorpusPrunesAbortsAndMatchesExhaustive) {
   SystemOptions opts;
   opts.top_h.h = 30;  // cover the cold pairs' 24-mapping spaces
   opts.cache.enable_result_cache = false;  // measure scheduling, not hits
+  opts.corpus_shards = 1;  // one scheduler => the accounting below
   UncertainMatchingSystem sys(opts);
   for (const SkewedPair& pair : scenario->pairs) {
     ASSERT_TRUE(sys.PrepareFromMatching(pair.matching).ok());
@@ -774,6 +776,41 @@ void ExpectItemInvariant(const CorpusRunReport& r) {
   EXPECT_GE(r.items_failed, 0);
 }
 
+/// The sharded run-report invariant: one report per shard, each holding
+/// the disposition invariant, summing field by field to the aggregate.
+void ExpectShardSums(const CorpusBatchResponse& r, int shards) {
+  ASSERT_EQ(r.shard_reports.size(), static_cast<size_t>(shards));
+  CorpusRunReport sum;
+  for (const CorpusRunReport& shard : r.shard_reports) {
+    ExpectItemInvariant(shard);
+    sum.items_total += shard.items_total;
+    sum.items_evaluated += shard.items_evaluated;
+    sum.items_pruned += shard.items_pruned;
+    sum.items_aborted += shard.items_aborted;
+    sum.items_aborted_in_kernel += shard.items_aborted_in_kernel;
+    sum.items_failed += shard.items_failed;
+    sum.dispatches += shard.dispatches;
+  }
+  EXPECT_EQ(sum.items_total, r.corpus.items_total);
+  EXPECT_EQ(sum.items_evaluated, r.corpus.items_evaluated);
+  EXPECT_EQ(sum.items_pruned, r.corpus.items_pruned);
+  EXPECT_EQ(sum.items_aborted, r.corpus.items_aborted);
+  EXPECT_EQ(sum.items_aborted_in_kernel, r.corpus.items_aborted_in_kernel);
+  EXPECT_EQ(sum.items_failed, r.corpus.items_failed);
+  EXPECT_EQ(sum.dispatches, r.corpus.dispatches);
+}
+
+void ExpectSameAnswers(const std::vector<CorpusAnswer>& got,
+                       const std::vector<CorpusAnswer>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].document, want[i].document) << "answer " << i;
+    EXPECT_DOUBLE_EQ(got[i].probability, want[i].probability)
+        << "answer " << i;
+    EXPECT_EQ(got[i].matches, want[i].matches) << "answer " << i;
+  }
+}
+
 class SinglePairCorpusTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -787,17 +824,20 @@ class SinglePairCorpusTest : public ::testing::Test {
         std::move(scenario).ValueOrDie());
   }
 
-  static SystemOptions Options(bool bound_cache) {
+  /// `shards` is SystemOptions::corpus_shards (0 = the host default).
+  static SystemOptions Options(bool bound_cache, int shards) {
     SystemOptions opts;
     opts.top_h.h = 16;  // the pair's 12-mapping space, fully enumerated
     opts.cache.enable_result_cache = false;  // measure scheduling, not hits
     opts.cache.enable_bound_cache = bound_cache;
+    opts.corpus_shards = shards;
     return opts;
   }
 
-  std::unique_ptr<UncertainMatchingSystem> MakeSystem(bool bound_cache) {
-    auto sys =
-        std::make_unique<UncertainMatchingSystem>(Options(bound_cache));
+  std::unique_ptr<UncertainMatchingSystem> MakeSystem(bool bound_cache,
+                                                      int shards = 0) {
+    auto sys = std::make_unique<UncertainMatchingSystem>(
+        Options(bound_cache, shards));
     EXPECT_TRUE(sys->PrepareFromMatching(scenario_->matching).ok());
     for (size_t i = 0; i < scenario_->documents.size(); ++i) {
       EXPECT_TRUE(sys->AddDocument(scenario_->names[i],
@@ -813,17 +853,6 @@ class SinglePairCorpusTest : public ::testing::Test {
     return run;
   }
 
-  static void ExpectSameAnswers(const std::vector<CorpusAnswer>& got,
-                                const std::vector<CorpusAnswer>& want) {
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].document, want[i].document) << "answer " << i;
-      EXPECT_DOUBLE_EQ(got[i].probability, want[i].probability)
-          << "answer " << i;
-      EXPECT_EQ(got[i].matches, want[i].matches) << "answer " << i;
-    }
-  }
-
   std::unique_ptr<SinglePairCorpusScenario> scenario_;
 };
 
@@ -831,11 +860,11 @@ class SinglePairCorpusTest : public ::testing::Test {
 // under one pair, hence one shared pair-level bound) prunes, because the
 // document-sensitive probe sees that cold documents contain no `gold`
 // element and collapses their bounds to the dust-route mass. With one
-// worker the accounting is deterministic: wave 1 is exactly the 8 hot
-// documents, their answers raise the threshold above every cold bound,
-// and all 24 cold items are pruned undispatched.
+// shard and one worker the accounting is deterministic: wave 1 is exactly
+// the 8 hot documents, their answers raise the threshold above every cold
+// bound, and all 24 cold items are pruned undispatched.
 TEST_F(SinglePairCorpusTest, DocumentBoundsPruneAHomogeneousCorpus) {
-  auto sys = MakeSystem(/*bound_cache=*/true);
+  auto sys = MakeSystem(/*bound_cache=*/true, /*shards=*/1);
   CorpusQueryOptions bounded;
   bounded.top_k = 5;
   auto b = sys->RunCorpusBatch({scenario_->probe_twig}, bounded, OneThread());
@@ -909,7 +938,7 @@ TEST_F(SinglePairCorpusTest, PairLevelBoundsAloneNeverPruneHomogeneous) {
 // items_failed and the counter invariant still holds for the batch —
 // while the healthy twigs of the same shared pool run to completion.
 TEST_F(SinglePairCorpusTest, FailedTwigChargesItsItemsAndKeepsInvariant) {
-  auto sys = MakeSystem(/*bound_cache=*/true);
+  auto sys = MakeSystem(/*bound_cache=*/true, /*shards=*/1);
   CorpusQueryOptions bounded;
   bounded.top_k = 5;
   auto b = sys->RunCorpusBatch(
@@ -931,6 +960,122 @@ TEST_F(SinglePairCorpusTest, FailedTwigChargesItsItemsAndKeepsInvariant) {
   ASSERT_EQ(b->answers[2]->answers.size(), 5u);
   for (const CorpusAnswer& a : b->answers[2]->answers) {
     EXPECT_EQ(a.document.substr(0, 4), "hot-") << a.document;
+  }
+}
+
+// The three single-scheduler tests above, run through S = 2 and 4 shard
+// schedulers. Concurrent shards make the evaluated / aborted / pruned
+// split host-dependent, so these pin what must not vary: the answers
+// equal the single scheduler's, and every item lands in exactly one
+// bucket of exactly one shard.
+constexpr int kShardCounts[] = {2, 4};
+
+TEST_F(SinglePairCorpusTest, ShardedDocumentBoundsMatchSingleScheduler) {
+  CorpusQueryOptions bounded;
+  bounded.top_k = 5;
+  auto single = MakeSystem(/*bound_cache=*/true, /*shards=*/1)
+                    ->RunCorpusBatch({scenario_->probe_twig}, bounded,
+                                     OneThread());
+  ASSERT_TRUE(single.ok()) << single.status();
+  ASSERT_TRUE(single->answers[0].ok());
+  for (const int shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto sys = MakeSystem(/*bound_cache=*/true, shards);
+    // The second run consults the bounds the first one cached.
+    for (int run = 0; run < 2; ++run) {
+      auto b = sys->RunCorpusBatch({scenario_->probe_twig}, bounded,
+                                   OneThread());
+      ASSERT_TRUE(b.ok()) << b.status();
+      ASSERT_TRUE(b->answers[0].ok()) << b->answers[0].status();
+      ExpectItemInvariant(b->corpus);
+      EXPECT_EQ(b->corpus.items_total, 32);
+      EXPECT_EQ(b->corpus.items_failed, 0);
+      ExpectShardSums(*b, shards);
+      ExpectSameAnswers(b->answers[0]->answers, single->answers[0]->answers);
+    }
+  }
+}
+
+TEST_F(SinglePairCorpusTest,
+       ShardedFailedTwigChargesItsItemsAndKeepsInvariant) {
+  const std::vector<std::string> twigs = {
+      scenario_->probe_twig, "[[[not a twig", scenario_->deep_probe_twig};
+  CorpusQueryOptions bounded;
+  bounded.top_k = 5;
+  auto single = MakeSystem(/*bound_cache=*/true, /*shards=*/1)
+                    ->RunCorpusBatch(twigs, bounded, OneThread());
+  ASSERT_TRUE(single.ok()) << single.status();
+  ASSERT_TRUE(single->answers[0].ok());
+  ASSERT_TRUE(single->answers[2].ok());
+  for (const int shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto b = MakeSystem(/*bound_cache=*/true, shards)
+                 ->RunCorpusBatch(twigs, bounded, OneThread());
+    ASSERT_TRUE(b.ok()) << b.status();
+    ASSERT_EQ(b->answers.size(), 3u);
+    ASSERT_TRUE(b->answers[0].ok()) << b->answers[0].status();
+    EXPECT_TRUE(b->answers[1].status().IsParseError());
+    ASSERT_TRUE(b->answers[2].ok()) << b->answers[2].status();
+    ExpectItemInvariant(b->corpus);
+    EXPECT_EQ(b->corpus.items_total, 96);
+    EXPECT_EQ(b->corpus.items_failed, 32);  // the failed twig's documents
+    ExpectShardSums(*b, shards);
+    ExpectSameAnswers(b->answers[0]->answers, single->answers[0]->answers);
+    ExpectSameAnswers(b->answers[2]->answers, single->answers[2]->answers);
+  }
+}
+
+TEST(BoundedCorpusTest, ShardedSkewedCorpusMatchesSingleScheduler) {
+  SkewedCorpusOptions gen;
+  gen.hot_documents = 2;
+  gen.cold_pairs = 2;
+  gen.cold_documents_per_pair = 5;
+  gen.doc_target_nodes = 60;
+  auto scenario = MakeSkewedCorpusScenario(gen);
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  auto make_system = [&](int shards) {
+    SystemOptions opts;
+    opts.top_h.h = 30;
+    opts.cache.enable_result_cache = false;
+    opts.corpus_shards = shards;
+    auto sys = std::make_unique<UncertainMatchingSystem>(opts);
+    for (const SkewedPair& pair : scenario->pairs) {
+      EXPECT_TRUE(sys->PrepareFromMatching(pair.matching).ok());
+    }
+    for (size_t i = 0; i < scenario->documents.size(); ++i) {
+      const SkewedPair& pair =
+          scenario->pairs[static_cast<size_t>(scenario->doc_pair[i])];
+      EXPECT_TRUE(sys->AddDocument(scenario->names[i],
+                                   scenario->documents[i].get(),
+                                   pair.source.get(), scenario->target.get())
+                      .ok());
+    }
+    return sys;
+  };
+  BatchRunOptions run;
+  run.num_threads = 1;
+  auto single_sys = make_system(1);
+  // k = 1 prunes cold documents; k = 3 must reach one.
+  for (const int k : {1, 3}) {
+    CorpusQueryOptions bounded;
+    bounded.top_k = k;
+    auto single =
+        single_sys->RunCorpusBatch({scenario->probe_twig}, bounded, run);
+    ASSERT_TRUE(single.ok()) << single.status();
+    ASSERT_TRUE(single->answers[0].ok());
+    for (const int shards : kShardCounts) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " shards=" + std::to_string(shards));
+      auto b = make_system(shards)->RunCorpusBatch({scenario->probe_twig},
+                                                   bounded, run);
+      ASSERT_TRUE(b.ok()) << b.status();
+      ASSERT_TRUE(b->answers[0].ok()) << b->answers[0].status();
+      ExpectItemInvariant(b->corpus);
+      EXPECT_EQ(b->corpus.items_total, 12);
+      EXPECT_EQ(b->corpus.items_failed, 0);
+      ExpectShardSums(*b, shards);
+      ExpectSameAnswers(b->answers[0]->answers, single->answers[0]->answers);
+    }
   }
 }
 

@@ -7,6 +7,9 @@ vary a lot, so only order-of-magnitude rot should fail — and additionally
 checks the machine-independent invariant that the cached batch path beats
 the uncached one by a healthy factor *within the same run*.
 
+Either JSON may come from a run with --benchmark_repetitions=N; each
+benchmark is then read as its median over the N repetitions.
+
 Usage:
   tools/check_bench_regression.py CURRENT.json [BASELINE.json]
       [--threshold X]    fail if a benchmark is more than X times slower
@@ -98,13 +101,20 @@ PRUNED_MAX_RATIO = 1.5
 
 
 def load(path):
+    """Maps each benchmark name to its real_time. A run made with
+    --benchmark_repetitions is read through its median aggregate; the
+    other aggregates (mean, stddev, cv) are ignored."""
     with open(path) as f:
         data = json.load(f)
     out = {}
+    medians = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
+            if bench.get("aggregate_name") == "median":
+                medians[bench["run_name"]] = float(bench["real_time"])
             continue
         out[bench["name"]] = float(bench["real_time"])
+    out.update(medians)
     return out, data.get("context", {})
 
 
