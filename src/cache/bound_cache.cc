@@ -1,51 +1,51 @@
 #include "cache/bound_cache.h"
 
 #include <algorithm>
-#include <functional>
 #include <mutex>
 
 namespace uxm {
 
-size_t BoundCache::KeyHash::operator()(const BoundCacheKey& k) const {
-  size_t h = std::hash<std::string>()(k.twig);
-  h ^= std::hash<const void*>()(k.doc) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-       (h >> 2);
-  h ^= std::hash<uint64_t>()(k.epoch) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-       (h >> 2);
-  h ^= std::hash<int>()(k.top_k) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-       (h >> 2);
-  h ^= std::hash<bool>()(k.block_tree) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-       (h >> 2);
-  h ^= std::hash<uint64_t>()(k.pair) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-       (h >> 2);
-  return h;
+namespace {
+
+/// The slot of `key` (full hash `hash`) in `index`, or index.end().
+template <typename Index>
+auto Find(Index& index, const ItemKeyRef& key, size_t hash) {
+  auto [it, end] = index.equal_range(hash);
+  for (; it != end; ++it) {
+    if (key.Matches(it->second.key)) return it;
+  }
+  return index.end();
 }
 
-std::optional<double> BoundCache::Lookup(const BoundCacheKey& key) const {
+}  // namespace
+
+std::optional<double> BoundCache::Lookup(const ItemKeyRef& key) const {
+  const size_t hash = key.Hash();
   std::shared_lock<std::shared_mutex> lock(mu_);
-  const auto it = cache_.find(key);
+  const auto it = Find(cache_, key, hash);
   if (it == cache_.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
+  return it->second.bound;
 }
 
-void BoundCache::Insert(const BoundCacheKey& key, double bound) {
+void BoundCache::Insert(const ItemKeyRef& key, double bound) {
   bound = std::max(bound, 0.0);
+  const size_t hash = key.Hash();
   insertions_.fetch_add(1, std::memory_order_relaxed);
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = cache_.find(key);
+  const auto it = Find(cache_, key, hash);
   if (it != cache_.end()) {
-    it->second = std::min(it->second, bound);
+    it->second.bound = std::min(it->second.bound, bound);
     return;
   }
   if (max_entries_ > 0 && cache_.size() >= max_entries_) {
     cache_.clear();
     flushes_.fetch_add(1, std::memory_order_relaxed);
   }
-  cache_.emplace(key, bound);
+  cache_.emplace(hash, Slot{key.ToOwned(), bound});
 }
 
 void BoundCache::Clear() {

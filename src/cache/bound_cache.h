@@ -23,15 +23,18 @@
 // sources are sound upper bounds, so their min is too (the realized
 // bound typically refines the probe).
 //
-// Keying and invalidation: keys mirror ResultCacheKey — (twig text,
-// document pointer identity, epoch, effective top-k, algorithm, pair
-// id). The facade's epoch/pair_id discipline applies unchanged: every
-// re-registration, re-preparation, or InvalidateResultCache restamps
-// epochs (or mints pair ids), making stale bounds structurally
-// unreachable — a stale entry can never be looked up, it only occupies
-// memory until the generational flush reclaims it. Memory is bounded
-// the way the plan/embedding caches are: past max_entries distinct keys
-// the whole generation is flushed (hot items re-cache immediately).
+// Keying and invalidation: keys are the result cache's ItemKey —
+// (twig text, document pointer identity, epoch, effective top-k,
+// algorithm, pair id; cache/item_key.h). The facade's epoch/pair_id
+// discipline applies unchanged: every re-registration, re-preparation,
+// or InvalidateResultCache restamps epochs (or mints pair ids), making
+// stale bounds structurally unreachable — a stale entry can never be
+// looked up, it only occupies memory until the generational flush
+// reclaims it. Memory is bounded the way the plan/embedding caches are:
+// past max_entries distinct keys the whole generation is flushed (hot
+// items re-cache immediately). Probes take a borrowed, pre-hashed
+// ItemKeyRef, so a bound phase hashes each twig once, not once per
+// document, and copies it only into newly stored keys.
 #ifndef UXM_CACHE_BOUND_CACHE_H_
 #define UXM_CACHE_BOUND_CACHE_H_
 
@@ -39,27 +42,16 @@
 #include <cstdint>
 #include <optional>
 #include <shared_mutex>
-#include <string>
 #include <unordered_map>
+
+#include "cache/item_key.h"
 
 namespace uxm {
 
-/// \brief Identity of one (twig, document) bound. Field-for-field the
-/// shape of ResultCacheKey: a bound is valid exactly as long as the
-/// cached answer for the same evaluation would be.
-struct BoundCacheKey {
-  std::string twig;
-  const void* doc = nullptr;  ///< Document pointer identity.
-  uint64_t epoch = 0;         ///< The document's registration epoch.
-  int top_k = 0;              ///< Effective per-item evaluation top-k.
-  bool block_tree = true;     ///< Algorithm 4 vs Algorithm 3.
-  uint64_t pair = 0;          ///< PreparedSchemaPair::pair_id.
-
-  bool operator==(const BoundCacheKey& o) const {
-    return doc == o.doc && epoch == o.epoch && top_k == o.top_k &&
-           block_tree == o.block_tree && pair == o.pair && twig == o.twig;
-  }
-};
+/// \brief Identity of one (twig, document) bound: the result cache's key
+/// (cache/item_key.h) — a bound is valid exactly as long as the cached
+/// answer for the same evaluation would be.
+using BoundCacheKey = ItemKey;
 
 /// \brief Cumulative bound-cache counters.
 struct BoundCacheStats {
@@ -86,13 +78,13 @@ class BoundCache {
   BoundCache& operator=(const BoundCache&) = delete;
 
   /// The cached bound for `key`, or nullopt.
-  std::optional<double> Lookup(const BoundCacheKey& key) const;
+  std::optional<double> Lookup(const ItemKeyRef& key) const;
 
   /// Records `bound` for `key`, keeping the MIN with any stored value
   /// (every inserted bound must itself be sound, so the tighter one
   /// wins). Negative bounds are clamped to 0 — no answer probability is
   /// below it, and the scheduler's threshold sentinel is negative.
-  void Insert(const BoundCacheKey& key, double bound);
+  void Insert(const ItemKeyRef& key, double bound);
 
   /// Drops every entry (counters are kept).
   void Clear();
@@ -100,13 +92,17 @@ class BoundCache {
   BoundCacheStats Stats() const;
 
  private:
-  struct KeyHash {
-    size_t operator()(const BoundCacheKey& k) const;
+  struct Slot {
+    ItemKey key;
+    double bound = 0.0;
   };
+  /// Full key hash -> slot; a multimap so probes need no owning key (see
+  /// ResultCache's index).
+  using Index = std::unordered_multimap<size_t, Slot, PrehashedHash>;
 
   const size_t max_entries_;
   mutable std::shared_mutex mu_;
-  std::unordered_map<BoundCacheKey, double, KeyHash> cache_;
+  Index cache_;
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> insertions_{0};

@@ -1,7 +1,7 @@
 #include "cache/result_cache.h"
 
 #include <algorithm>
-#include <functional>
+#include <iterator>
 #include <utility>
 
 namespace uxm {
@@ -15,31 +15,26 @@ size_t ApproxPtqResultBytes(const PtqResult& result) {
   return bytes;
 }
 
-namespace {
-
-/// Boost-style hash combiner.
-inline size_t Combine(size_t seed, size_t v) {
-  return seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
+size_t ApproxEntryBytes(const RankedPtqResult& entry) {
+  size_t bytes = ApproxPtqResultBytes(entry.result) +
+                 sizeof(RankedPtqResult) - sizeof(PtqResult) +
+                 entry.ranked.capacity() * sizeof(MappingAnswer);
+  for (const MappingAnswer& a : entry.ranked) {
+    bytes += a.matches.capacity() * sizeof(DocNodeId);
+  }
+  return bytes;
 }
 
-/// Per-entry overhead beyond the PtqResult itself: the key string, the
-/// list node and one hash-map slot (rough, but it keeps zillions of tiny
+namespace {
+
+/// Per-entry overhead beyond the value itself: the key string, the list
+/// node and one hash-map slot (rough, but it keeps zillions of tiny
 /// entries from reading as free).
-size_t EntryOverheadBytes(const ResultCacheKey& key) {
-  return key.twig.size() + sizeof(ResultCacheKey) + 6 * sizeof(void*);
+size_t EntryOverheadBytes(const ItemKeyRef& key) {
+  return key.twig.size() + sizeof(ItemKey) + 6 * sizeof(void*);
 }
 
 }  // namespace
-
-size_t ResultCache::KeyHash::operator()(const ResultCacheKey& k) const {
-  size_t h = std::hash<std::string>()(k.twig);
-  h = Combine(h, std::hash<const void*>()(k.doc));
-  h = Combine(h, std::hash<uint64_t>()(k.epoch));
-  h = Combine(h, std::hash<int>()(k.top_k));
-  h = Combine(h, std::hash<bool>()(k.block_tree));
-  h = Combine(h, std::hash<uint64_t>()(k.pair));
-  return h;
-}
 
 ResultCache::ResultCache(ResultCacheOptions options) {
   const int shards = std::max(1, options.num_shards);
@@ -50,17 +45,40 @@ ResultCache::ResultCache(ResultCacheOptions options) {
   }
 }
 
-ResultCache::Shard& ResultCache::ShardFor(const ResultCacheKey& key) {
-  return *shards_[KeyHash()(key) % shards_.size()];
+ResultCache::Shard& ResultCache::ShardFor(size_t hash) {
+  return *shards_[hash % shards_.size()];
 }
 
-std::shared_ptr<const PtqResult> ResultCache::Lookup(
-    const ResultCacheKey& key) {
-  Shard& shard = ShardFor(key);
+ResultCache::Index::iterator ResultCache::Find(Shard& shard,
+                                               const ItemKeyRef& key,
+                                               size_t hash) {
+  auto [it, end] = shard.map.equal_range(hash);
+  for (; it != end; ++it) {
+    if (key.Matches(it->second->key)) return it;
+  }
+  return shard.map.end();
+}
+
+void ResultCache::Drop(Shard& shard, LruList::iterator entry) {
+  auto [it, end] = shard.map.equal_range(entry->hash);
+  for (; it != end; ++it) {
+    if (it->second == entry) {
+      shard.map.erase(it);
+      break;
+    }
+  }
+  shard.bytes -= entry->bytes;
+  shard.lru.erase(entry);
+}
+
+std::shared_ptr<const RankedPtqResult> ResultCache::Lookup(
+    const ItemKeyRef& key, bool count_miss) {
+  const size_t hash = key.Hash();
+  Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
+  const auto it = Find(shard, key, hash);
   if (it == shard.map.end()) {
-    ++shard.misses;
+    if (count_miss) ++shard.misses;
     return nullptr;
   }
   ++shard.hits;
@@ -68,32 +86,29 @@ std::shared_ptr<const PtqResult> ResultCache::Lookup(
   return it->second->value;
 }
 
-void ResultCache::Insert(const ResultCacheKey& key,
-                         std::shared_ptr<const PtqResult> value) {
+void ResultCache::Insert(const ItemKeyRef& key,
+                         std::shared_ptr<const RankedPtqResult> value) {
   if (value == nullptr) return;
-  const size_t bytes = ApproxPtqResultBytes(*value) + EntryOverheadBytes(key);
+  const size_t bytes = ApproxEntryBytes(*value) + EntryOverheadBytes(key);
   if (bytes > shard_budget_) return;  // would evict the whole shard
-  Shard& shard = ShardFor(key);
+  const size_t hash = key.Hash();
+  Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
+  const auto it = Find(shard, key, hash);
   if (it != shard.map.end()) {
     shard.bytes -= it->second->bytes;
     shard.bytes += bytes;
     it->second->value = std::move(value);
     it->second->bytes = bytes;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    ++shard.insertions;
   } else {
-    shard.lru.push_front(Entry{key, std::move(value), bytes});
-    shard.map.emplace(key, shard.lru.begin());
+    shard.lru.push_front(Entry{key.ToOwned(), hash, std::move(value), bytes});
+    shard.map.emplace(hash, shard.lru.begin());
     shard.bytes += bytes;
-    ++shard.insertions;
   }
+  ++shard.insertions;
   while (shard.bytes > shard_budget_ && !shard.lru.empty()) {
-    const Entry& victim = shard.lru.back();
-    shard.bytes -= victim.bytes;
-    shard.map.erase(victim.key);
-    shard.lru.pop_back();
+    Drop(shard, std::prev(shard.lru.end()));
     ++shard.evictions;
   }
 }
@@ -107,9 +122,7 @@ size_t ResultCache::ErasePair(uint64_t pair) {
         ++it;
         continue;
       }
-      shard->bytes -= it->bytes;
-      shard->map.erase(it->key);
-      it = shard->lru.erase(it);
+      Drop(*shard, it++);
       ++dropped;
     }
   }

@@ -1,24 +1,29 @@
 // Sharded LRU cache of full PTQ answers. Production twig workloads are
-// heavily skewed — the same few twigs hit the same attached document over
-// and over — so after the block tree has amortized evaluation across
-// mappings and the QueryCompiler has amortized compilation across
-// requests, the remaining repeated cost is the evaluation itself. This
-// cache removes it: a hit is a hash probe plus a PtqResult copy.
+// heavily skewed — the same few twigs hit the same documents over and
+// over — so after the block tree has amortized evaluation across mappings
+// and the QueryCompiler has amortized compilation across requests, the
+// remaining repeated cost is the evaluation itself. This cache removes
+// it: an entry is one immutable RankedPtqResult (the PtqResult plus its
+// ranked match sets, the form a corpus merge consumes), and a hit is a
+// hash probe plus a refcount — Lookup hands out the shared entry. The
+// corpus scheduler folds hits straight from the entry's ranked list; only
+// the public single-document calls (Query, RunBatch) copy the PtqResult,
+// once, at the API edge.
 //
 // Keying and invalidation: entries are keyed on (twig text, document
-// identity, epoch, top-k, algorithm, prepared-pair id). The epoch is
-// bumped by the facade on every Prepare/AttachDocument *before* the new
-// state is published, so an evaluation that raced the swap inserts under
-// the old epoch and can never satisfy a lookup issued after it; the pair
-// id changes with every (re-)preparation of a schema pair and keeps
-// answers of different pairs apart even when they share a document.
-// Stale answers are structurally unreachable, and Clear() merely
-// reclaims their memory.
+// identity, epoch, top-k, algorithm, prepared-pair id) — see
+// cache/item_key.h. The epoch is bumped by the facade on every
+// Prepare/AttachDocument *before* the new state is published, so an
+// evaluation that raced the swap inserts under the old epoch and can
+// never satisfy a lookup issued after it; the pair id changes with every
+// (re-)preparation of a schema pair and keeps answers of different pairs
+// apart even when they share a document. Stale answers are structurally
+// unreachable, and Clear() merely reclaims their memory.
 //
 // Concurrency: N shards, each a mutex + intrusive LRU list; a key touches
 // exactly one shard, so concurrent workers on distinct keys rarely
-// contend. The byte budget is split evenly across shards and enforced by
-// LRU eviction at insert time.
+// contend. The byte budget — which counts both parts of every entry — is
+// split evenly across shards and enforced by LRU eviction at insert time.
 #ifndef UXM_CACHE_RESULT_CACHE_H_
 #define UXM_CACHE_RESULT_CACHE_H_
 
@@ -31,34 +36,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cache/item_key.h"
 #include "query/ptq.h"
 
 namespace uxm {
 
-/// \brief Identity of one cacheable evaluation.
-///
-/// `doc` is pointer identity: callers must not mutate or reuse the
-/// storage of a document while its answers may be cached (the facade
-/// bumps the epoch on Prepare/AttachDocument — and sweeps the replaced
-/// pair's entries / clears respectively — so its own documents are
-/// safe; for external per-request documents, call
-/// UncertainMatchingSystem::InvalidateResultCache after freeing one).
-struct ResultCacheKey {
-  std::string twig;
-  const void* doc = nullptr;
-  uint64_t epoch = 0;
-  int top_k = 0;          ///< Effective top-k (0 = all relevant mappings).
-  bool block_tree = true;  ///< Algorithm 4 vs Algorithm 3.
-  /// PreparedSchemaPair::pair_id the answer was computed under. A
-  /// re-prepared pair gets a fresh id, and one document registered under
-  /// two pairs yields two distinct keys even at equal epochs.
-  uint64_t pair = 0;
-
-  bool operator==(const ResultCacheKey& o) const {
-    return doc == o.doc && epoch == o.epoch && top_k == o.top_k &&
-           block_tree == o.block_tree && pair == o.pair && twig == o.twig;
-  }
-};
+/// \brief Identity of one cacheable evaluation (cache/item_key.h).
+using ResultCacheKey = ItemKey;
 
 struct ResultCacheOptions {
   size_t max_bytes = size_t{64} << 20;  ///< Total budget over all shards.
@@ -76,13 +60,17 @@ struct ResultCacheStats {
   uint64_t pair_sweeps = 0;    ///< ErasePair() calls.
   uint64_t swept_entries = 0;  ///< Entries dropped by ErasePair() sweeps.
   size_t entries = 0;
-  size_t bytes_in_use = 0;  ///< Approximate (see ApproxPtqResultBytes).
+  size_t bytes_in_use = 0;  ///< Approximate (see ApproxEntryBytes).
 };
 
-/// Approximate heap footprint of a PtqResult (the byte-budget unit).
+/// Approximate heap footprint of a PtqResult.
 size_t ApproxPtqResultBytes(const PtqResult& result);
 
-/// \brief Mutex-striped, byte-budgeted LRU cache of PtqResults.
+/// Approximate heap footprint of a cache entry's value: the PtqResult
+/// plus its ranked match sets (the byte-budget unit).
+size_t ApproxEntryBytes(const RankedPtqResult& entry);
+
+/// \brief Mutex-striped, byte-budgeted LRU cache of RankedPtqResults.
 class ResultCache {
  public:
   explicit ResultCache(ResultCacheOptions options = {});
@@ -90,14 +78,21 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Returns the cached answer (refreshing its LRU position) or nullptr.
-  std::shared_ptr<const PtqResult> Lookup(const ResultCacheKey& key);
+  /// Returns the cached entry (refreshing its LRU position) or nullptr.
+  /// The entry is shared, not copied: it stays alive for as long as the
+  /// caller holds it, even if the cache evicts it meanwhile. Every call
+  /// counts a hit or a miss, except that `count_miss = false` leaves a
+  /// miss uncounted — for a caller that hands its misses to the
+  /// ExecutionDriver, whose own probe counts them, so that each item is
+  /// counted once.
+  std::shared_ptr<const RankedPtqResult> Lookup(const ItemKeyRef& key,
+                                                bool count_miss = true);
 
   /// Inserts or replaces `key`'s entry, then evicts LRU entries until the
-  /// shard fits its budget. A single result larger than a whole shard's
+  /// shard fits its budget. A single entry larger than a whole shard's
   /// budget is not cached (it would only thrash the shard).
-  void Insert(const ResultCacheKey& key,
-              std::shared_ptr<const PtqResult> value);
+  void Insert(const ItemKeyRef& key,
+              std::shared_ptr<const RankedPtqResult> value);
 
   /// Drops every entry in every shard (invalidation).
   void Clear();
@@ -112,19 +107,22 @@ class ResultCache {
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
-  struct KeyHash {
-    size_t operator()(const ResultCacheKey& k) const;
-  };
   struct Entry {
-    ResultCacheKey key;
-    std::shared_ptr<const PtqResult> value;
+    ItemKey key;
+    size_t hash = 0;  ///< ItemKeyRef::Hash of `key`
+    std::shared_ptr<const RankedPtqResult> value;
     size_t bytes = 0;
   };
+  using LruList = std::list<Entry>;
+  /// Full key hash -> entry. A multimap so the probe needs no owning key
+  /// (heterogeneous lookup): it finds the hash's entries and compares the
+  /// borrowed key against each (more than one only on a hash collision).
+  using Index =
+      std::unordered_multimap<size_t, LruList::iterator, PrehashedHash>;
   struct Shard {
     std::mutex mu;
-    std::list<Entry> lru;  ///< Front = most recently used.
-    std::unordered_map<ResultCacheKey, std::list<Entry>::iterator, KeyHash>
-        map;
+    LruList lru;  ///< Front = most recently used.
+    Index map;
     size_t bytes = 0;
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -132,7 +130,12 @@ class ResultCache {
     uint64_t evictions = 0;
   };
 
-  Shard& ShardFor(const ResultCacheKey& key);
+  Shard& ShardFor(size_t hash);
+  /// The index slot of `key` (hash `hash`) in `shard`, or map.end().
+  static Index::iterator Find(Shard& shard, const ItemKeyRef& key,
+                              size_t hash);
+  /// Unlinks `entry` from `shard`'s index and LRU list and uncharges it.
+  static void Drop(Shard& shard, LruList::iterator entry);
 
   size_t shard_budget_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -1,5 +1,9 @@
 #include "core/system.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <chrono>
 #include <unordered_map>
 #include <unordered_set>
@@ -12,6 +16,12 @@
 #include "snapshot/snapshot_writer.h"
 
 namespace uxm {
+
+UncertainMatchingSystem::FreedPagesRelease::~FreedPagesRelease() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
 
 UncertainMatchingSystem::UncertainMatchingSystem(SystemOptions options)
     : options_(std::move(options)),

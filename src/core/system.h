@@ -117,8 +117,9 @@ struct SystemOptions {
   /// (src/shard/): documents partition across this many per-shard
   /// stores by stable name hash, and bounded corpus batches run one TA
   /// scheduler per shard against shared per-twig thresholds. <= 0
-  /// selects min(hardware threads, 8). 1 disables sharding (the
-  /// single-scheduler path). Answers are bit-identical for every value.
+  /// selects DefaultShardCount() = 1 on every host, which disables
+  /// sharding (the single-scheduler path). Answers are bit-identical for
+  /// every value.
   int corpus_shards = 0;
 };
 
@@ -407,6 +408,20 @@ class UncertainMatchingSystem {
   /// a thin adapter onto ExecutionDriver::Execute.
   Result<PtqResult> CachedQuery(const std::string& twig, int top_k,
                                 bool use_block_tree) const;
+
+  /// Hands the heap pages the system leaves free back to the OS (glibc
+  /// malloc_trim; nothing elsewhere). Declared first, so it is destroyed
+  /// last, after every other member has freed its memory. Without it a
+  /// process that tears a serving state down and builds another keeps
+  /// the torn-down state's freed pages resident; with it the next build
+  /// re-faults them instead of reusing them.
+  struct FreedPagesRelease {
+    FreedPagesRelease() = default;
+    FreedPagesRelease(const FreedPagesRelease&) = delete;
+    FreedPagesRelease& operator=(const FreedPagesRelease&) = delete;
+    ~FreedPagesRelease();
+  };
+  FreedPagesRelease release_freed_pages_;
 
   SystemOptions options_;
   std::shared_ptr<ResultCache> result_cache_;

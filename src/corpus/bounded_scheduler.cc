@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -17,27 +18,81 @@ namespace {
 /// every worker has an item even on wide pools.
 constexpr size_t kMinWaveItems = 8;
 
+/// BoundedPoolItem::cached_bound of an item without a BoundCache value.
+constexpr double kNoCachedBound = std::numeric_limits<double>::infinity();
+
+/// HashTwig of every twig of the batch, computed once per phase.
+std::vector<size_t> HashTwigs(const std::vector<std::string>& twigs) {
+  std::vector<size_t> hashes;
+  hashes.reserve(twigs.size());
+  for (const std::string& twig : twigs) hashes.push_back(HashTwig(twig));
+  return hashes;
+}
+
+/// The key of item (twig `t`, `entry`) — the driver's ResultKey, used for
+/// both its result-cache probe and its BoundCache entry. A corpus item's
+/// epoch is its document's; an unstamped (0) document inherits the run's
+/// cache epoch, as BatchQueryExecutor items do.
+ItemKeyRef ItemKeyFor(const BoundedRunContext& ctx, size_t t,
+                      size_t twig_hash, const CorpusDocument& entry) {
+  const uint64_t epoch = entry.epoch != 0 || ctx.cache == nullptr
+                             ? entry.epoch
+                             : ctx.cache->epoch;
+  return ResultKey((*ctx.twigs)[t], twig_hash, *entry.annotated, epoch,
+                   ctx.item_k, ctx.executor->options().use_block_tree,
+                   *entry.pair);
+}
+
+/// Folds one finished item — an inline result-cache hit or a fresh
+/// evaluation — into its twig's race. Nothing is copied: the race keeps a
+/// share of the entry's ranked list, and the tracker reads only
+/// probabilities, stopping at the first answer that cannot enter the
+/// top-k.
+void FoldItem(const BoundedRunContext& ctx, const BoundedPoolItem& pi,
+              const ItemKeyRef& key,
+              const std::shared_ptr<const RankedPtqResult>& entry) {
+  TwigRace& race = *(*ctx.races)[pi.twig];
+  const std::vector<MappingAnswer>& ranked = entry->ranked;
+  const double best = ranked.empty() ? 0.0 : ranked.front().probability;
+  // Realized bound: evaluation is deterministic in this key, so the best
+  // ranked answer (0 when there is none) is an exact bound for any later
+  // run under the same key — usually far tighter than the probe it
+  // refines. Insert keeps the min, so a stored bound that is already no
+  // larger (every warm hit's) needs no insert.
+  if (ctx.bound_cache != nullptr && !(pi.cached_bound <= best)) {
+    ctx.bound_cache->Insert(key, best);
+  }
+  if (entry->result.truncated_embeddings) {
+    race.truncated.store(true, std::memory_order_relaxed);
+  }
+  std::lock_guard<std::mutex> lock(race.mu);
+  race.tracker.PushRanked(ranked);
+  if (race.tracker.full()) {
+    RaiseThreshold(&race.threshold, race.tracker.kth_probability());
+  }
+  race.ranked[pi.doc] = RankedAnswersOf(entry);
+}
+
 #ifndef NDEBUG
-/// Re-evaluates every document the scheduler skipped into `collapsed` and
+/// Re-evaluates every document the scheduler skipped into `ranked` and
 /// returns true; false when any re-evaluation errors (e.g. an armed
 /// fault-injection site — certification needs ground truth it then cannot
 /// establish, which is not a scheduling bug).
 bool FillSkippedForCertificate(const std::vector<const CorpusDocument*>& docs,
                                const std::string& twig,
                                const BatchExecutorOptions& exec_options,
-                               std::vector<std::vector<CorpusAnswer>>* collapsed,
-                               const std::vector<char>& have) {
+                               std::vector<RankedAnswersPtr>* ranked) {
   for (size_t d = 0; d < docs.size(); ++d) {
-    if (have[d]) continue;
+    if ((*ranked)[d] != nullptr) continue;
     DriverRequest request;
     request.pair = docs[d]->pair.get();
     request.doc = docs[d]->annotated.get();
     request.twig = &twig;
     request.options = exec_options.ptq;
     request.use_block_tree = exec_options.use_block_tree;
-    auto result = ExecutionDriver::Execute(request);
+    auto result = ExecutionDriver::ExecuteRanked(request);
     if (!result.ok()) return false;
-    (*collapsed)[d] = CollapseForCorpus(docs[d]->name, *result);
+    (*ranked)[d] = RankedAnswersOf(*result);
   }
   return true;
 }
@@ -49,13 +104,12 @@ bool FillSkippedForCertificate(const std::vector<const CorpusDocument*>& docs,
 void CertifyBoundedTopK(const std::vector<const CorpusDocument*>& docs,
                         const std::string& twig, int merge_k,
                         const BatchExecutorOptions& exec_options,
-                        std::vector<std::vector<CorpusAnswer>> collapsed,
-                        const std::vector<char>& have,
+                        std::vector<RankedAnswersPtr> ranked,
                         const std::vector<CorpusAnswer>& got) {
-  if (!FillSkippedForCertificate(docs, twig, exec_options, &collapsed, have)) {
+  if (!FillSkippedForCertificate(docs, twig, exec_options, &ranked)) {
     return;
   }
-  const std::vector<CorpusAnswer> want = MergeTopK(collapsed, merge_k);
+  const std::vector<CorpusAnswer> want = MergeTopK(docs, ranked, merge_k);
   bool equal = want.size() == got.size();
   for (size_t i = 0; equal && i < want.size(); ++i) {
     equal = want[i].document == got[i].document &&
@@ -79,14 +133,13 @@ void CertifyBoundedTopK(const std::vector<const CorpusDocument*>& docs,
 void CertifyAnytimeTopK(const std::vector<const CorpusDocument*>& docs,
                         const std::string& twig, int merge_k,
                         const BatchExecutorOptions& exec_options,
-                        std::vector<std::vector<CorpusAnswer>> collapsed,
-                        const std::vector<char>& have,
+                        std::vector<RankedAnswersPtr> ranked,
                         const std::vector<CorpusAnswer>& got,
                         double residual_bound) {
-  if (!FillSkippedForCertificate(docs, twig, exec_options, &collapsed, have)) {
+  if (!FillSkippedForCertificate(docs, twig, exec_options, &ranked)) {
     return;
   }
-  const std::vector<CorpusAnswer> want = MergeTopK(collapsed, merge_k);
+  const std::vector<CorpusAnswer> want = MergeTopK(docs, ranked, merge_k);
   bool sound = true;
   for (const CorpusAnswer& w : want) {
     bool present = false;
@@ -105,7 +158,7 @@ void CertifyAnytimeTopK(const std::vector<const CorpusDocument*>& docs,
   // Presence check: partial answers come from fully evaluated documents,
   // so each must appear verbatim in the exhaustive merge over ALL
   // answers (merge with no k cap to see past the true top-k).
-  const std::vector<CorpusAnswer> all = MergeTopK(collapsed, /*k=*/0);
+  const std::vector<CorpusAnswer> all = MergeTopK(docs, ranked, /*k=*/0);
   for (const CorpusAnswer& g : got) {
     bool real = false;
     for (const CorpusAnswer& a : all) {
@@ -165,8 +218,8 @@ void BuildBoundedPool(const BoundedRunContext& ctx,
                       std::vector<BoundedPoolItem>* pool,
                       BoundedScheduleResult* out) {
   const std::vector<const CorpusDocument*>& selected = *ctx.selected;
-  const BatchExecutorOptions& exec_options = ctx.executor->options();
   const size_t num_twigs = ctx.twigs->size();
+  const std::vector<size_t> twig_hashes = HashTwigs(*ctx.twigs);
   std::vector<BoundedPoolItem> twig_items;
   for (size_t t = 0; t < num_twigs; ++t) {
     TwigRace& race = *(*ctx.races)[t];
@@ -218,6 +271,7 @@ void BuildBoundedPool(const BoundedRunContext& ctx,
         break;
       }
       double bound = info.bound;
+      double cached_bound = kNoCachedBound;
       // Once the budget expires the bound phase stops doing real work
       // too: no probes (they walk the document's annotation), just the
       // free pair/cached bounds — the pool still gets every item so the
@@ -225,27 +279,25 @@ void BuildBoundedPool(const BoundedRunContext& ctx,
       const bool probe =
           ctx.probe_bounds &&
           (ctx.budget == nullptr || !ctx.budget->ExpiredNow());
-      if (ctx.bound_cache != nullptr) {
-        const BoundCacheKey key{(*ctx.twigs)[t],
-                                entry.doc,
-                                entry.epoch,
-                                ctx.item_k,
-                                exec_options.use_block_tree,
-                                entry.pair->pair_id};
+      // An entry without an annotation keeps its pair bound: it is
+      // unevaluable, and the driver fails it when it is dispatched.
+      const bool has_doc = entry.annotated != nullptr;
+      if (has_doc && ctx.bound_cache != nullptr) {
+        const ItemKeyRef key = ItemKeyFor(ctx, t, twig_hashes[t], entry);
         if (const auto cached = ctx.bound_cache->Lookup(key)) {
-          bound = std::min(bound, *cached);
-        } else if (probe && entry.annotated != nullptr) {
-          const double probed =
+          cached_bound = *cached;
+        } else if (probe) {
+          cached_bound =
               info.plan->DocumentAnswerUpperBound(ctx.item_k, *entry.annotated);
-          ctx.bound_cache->Insert(key, probed);
-          bound = std::min(bound, probed);
+          ctx.bound_cache->Insert(key, cached_bound);
         }
-      } else if (probe && entry.annotated != nullptr) {
+        bound = std::min(bound, cached_bound);
+      } else if (has_doc && probe) {
         bound = std::min(bound, info.plan->DocumentAnswerUpperBound(
                                     ctx.item_k, *entry.annotated));
       }
       twig_items.push_back(
-          BoundedPoolItem{static_cast<uint32_t>(t), d, bound});
+          BoundedPoolItem{static_cast<uint32_t>(t), d, bound, cached_bound});
     }
     if (!compile_failed) {
       pool->insert(pool->end(), twig_items.begin(), twig_items.end());
@@ -257,10 +309,11 @@ void RunBoundedWaves(const BoundedRunContext& ctx,
                      std::vector<BoundedPoolItem> pool,
                      BoundedScheduleResult* out) {
   const std::vector<const CorpusDocument*>& selected = *ctx.selected;
-  const BatchExecutorOptions& exec_options = ctx.executor->options();
   const size_t wave_size =
       std::max<size_t>(static_cast<size_t>(ctx.executor->num_threads()),
                        kMinWaveItems);
+  ResultCache* results = ctx.cache != nullptr ? ctx.cache->results : nullptr;
+  const std::vector<size_t> twig_hashes = HashTwigs(*ctx.twigs);
   out->report.num_threads = ctx.executor->num_threads();
   out->report.items_per_thread.assign(
       static_cast<size_t>(ctx.executor->num_threads()), 0);
@@ -280,9 +333,10 @@ void RunBoundedWaves(const BoundedRunContext& ctx,
     // classification below, and items already in flight are cancelled by
     // the driver/kernel polls of the same shared budget.
     if (ctx.budget != nullptr && ctx.budget->ExpiredNow()) break;
-    // Collect the next wave. The threshold is read lock-free: it only
-    // ever rises (and starts below every bound), so a prune decision
-    // made against a concurrently rising value stays sound.
+    // Collect the next wave of misses, folding hits inline as they come.
+    // The threshold is read lock-free: it only ever rises (and starts
+    // below every bound), so a prune decision made against a concurrently
+    // rising value stays sound.
     std::vector<BatchQueryItem> items;
     std::vector<BoundedPoolItem> wave;  // wave index -> pool item
     while (pos < pool.size() && items.size() < wave_size) {
@@ -305,6 +359,20 @@ void RunBoundedWaves(const BoundedRunContext& ctx,
         continue;
       }
       const CorpusDocument& entry = *selected[pi.doc];
+      if (results != nullptr && entry.annotated != nullptr) {
+        // A hit is folded here and never dispatched: its answers raise
+        // the threshold before the next item's prune check, and it
+        // spends no evaluation credit. A miss is left uncounted — the
+        // driver's own probe counts it when the item runs.
+        const ItemKeyRef key =
+            ItemKeyFor(ctx, pi.twig, twig_hashes[pi.twig], entry);
+        if (const auto hit = results->Lookup(key, /*count_miss=*/false)) {
+          FoldItem(ctx, pi, key, hit);
+          ++out->report.result_cache_hits;
+          ++out->corpus.items_evaluated;
+          continue;
+        }
+      }
       BatchQueryItem item;
       item.doc = entry.annotated.get();
       item.twig = (*ctx.twigs)[pi.twig];
@@ -317,54 +385,35 @@ void RunBoundedWaves(const BoundedRunContext& ctx,
     }
     if (items.empty()) continue;
 
-    // Workers fold each finished item into its twig's tracker
-    // immediately, so thresholds rise mid-wave and later items of this
-    // very wave — or of any concurrent scheduler's wave — can abort, at
-    // the driver's checks or inside the kernel.
+    // Workers fold each finished item into its twig's race immediately,
+    // so thresholds rise mid-wave and later items of this very wave — or
+    // of any concurrent scheduler's wave — can abort, at the driver's
+    // checks or inside the kernel.
     BatchRunControl control;
     control.budget = ctx.budget;
-    control.on_item_done = [&](size_t i, const Result<PtqResult>& r) {
-      if (!r.ok()) return;
-      const BoundedPoolItem pi = wave[i];
-      TwigRace& race = *(*ctx.races)[pi.twig];
-      const CorpusDocument& entry = *selected[pi.doc];
-      std::vector<CorpusAnswer> answers = CollapseForCorpus(entry.name, *r);
-      if (ctx.bound_cache != nullptr) {
-        // Realized bound: evaluation is deterministic in this key, so
-        // the best collapsed answer (0 when there is none) is an exact
-        // bound for any later run under the same key — usually far
-        // tighter than the probe it refines (Insert keeps the min).
-        ctx.bound_cache->Insert(
-            BoundCacheKey{(*ctx.twigs)[pi.twig], entry.doc, entry.epoch,
-                          ctx.item_k, exec_options.use_block_tree,
-                          entry.pair->pair_id},
-            answers.empty() ? 0.0 : answers.front().probability);
-      }
-      std::lock_guard<std::mutex> lock(race.mu);
-      for (const CorpusAnswer& a : answers) race.tracker.Push(a);
-      if (race.tracker.full()) {
-        RaiseThreshold(&race.threshold, race.tracker.kth_probability());
-      }
-      race.collapsed[pi.doc] = std::move(answers);
-      race.have[pi.doc] = 1;
-    };
+    control.on_item_done =
+        [&](size_t i, const Result<std::shared_ptr<const RankedPtqResult>>& r) {
+          if (!r.ok()) return;
+          const BoundedPoolItem& pi = wave[i];
+          FoldItem(ctx, pi,
+                   ItemKeyFor(ctx, pi.twig, twig_hashes[pi.twig],
+                              *selected[pi.doc]),
+                   *r);
+        };
 
     BatchRunReport wave_report;
-    const std::vector<Result<PtqResult>> results = ctx.executor->Run(
+    const auto evaluated = ctx.executor->RunRanked(
         items, /*default_pair=*/nullptr, &wave_report, ctx.cache, &control);
     AccumulateBatchReport(wave_report, &out->report);
     ++out->corpus.dispatches;
 
-    for (size_t i = 0; i < results.size(); ++i) {
+    for (size_t i = 0; i < evaluated.size(); ++i) {
       const BoundedPoolItem pi = wave[i];
       TwigRace& race = *(*ctx.races)[pi.twig];
-      const Result<PtqResult>& r = results[i];
-      if (r.ok()) {
-        if (r->truncated_embeddings) {
-          race.truncated.store(true, std::memory_order_relaxed);
-        }
+      const Status& status = evaluated[i].status();
+      if (status.ok()) {
         ++out->corpus.items_evaluated;
-      } else if (r.status().IsCancelled()) {
+      } else if (status.IsCancelled()) {
         race.docs_aborted.fetch_add(1, std::memory_order_relaxed);
         ++out->corpus.items_aborted;
         // Classify the abort. A threshold abort is exact: the (monotone)
@@ -386,7 +435,7 @@ void RunBoundedWaves(const BoundedRunContext& ctx,
           std::lock_guard<std::mutex> lock(race.mu);
           if (pi.doc < race.eval_doc) {
             race.eval_doc = pi.doc;
-            race.eval_status = r.status();
+            race.eval_status = status;
           }
         }
         race.failed.store(true, std::memory_order_release);
@@ -418,12 +467,18 @@ void RunBoundedWaves(const BoundedRunContext& ctx,
     race.inexact.store(true, std::memory_order_release);
   }
   out->corpus.items_aborted_in_kernel = out->report.items_aborted_in_kernel;
+  // Cumulative cache state, sampled here rather than by the executor: a
+  // run whose items all hit inline never dispatches. The compiler sample
+  // is the first pool item's pair's, as the executor samples its first
+  // item's.
+  if (!pool.empty()) {
+    out->report.compiler = selected[pool.front().doc]->pair->compiler->Stats();
+  }
+  if (results != nullptr) out->report.result_cache = results->Stats();
 }
 
-void FinalizeBoundedAnswers(
-    const BoundedRunContext& ctx, int merge_k,
-    const std::vector<std::vector<std::vector<CorpusAnswer>>>* gathered,
-    std::vector<Result<CorpusQueryResult>>* answers) {
+void FinalizeBoundedAnswers(const BoundedRunContext& ctx, int merge_k,
+                            std::vector<Result<CorpusQueryResult>>* answers) {
   const size_t num_twigs = ctx.twigs->size();
   answers->reserve(answers->size() + num_twigs);
   for (size_t t = 0; t < num_twigs; ++t) {
@@ -459,24 +514,17 @@ void FinalizeBoundedAnswers(
         race.docs_aborted.load(std::memory_order_relaxed);
     merged.truncated_embeddings =
         race.truncated.load(std::memory_order_relaxed);
-    // Skipped documents left empty lists in `collapsed`; MergeTopK
-    // ignores empty lists, and their absence is exactly what the bounds
-    // proved sound. The gathered per-shard lists merge to the identical
-    // answer set: AnswerBefore is a total order over distinct documents'
-    // answers, and any answer in the global top-k is by definition in
-    // the top-k of the one shard holding its document.
-    merged.answers = gathered != nullptr
-                         ? MergeTopK((*gathered)[t], merge_k)
-                         : MergeTopK(race.collapsed, merge_k);
+    // Skipped documents left null lists in `ranked`; MergeTopK ignores
+    // them, and their absence is exactly what the bounds proved sound.
+    merged.answers = MergeTopK(*ctx.selected, race.ranked, merge_k);
 #ifndef NDEBUG
     if (merged.exact) {
       CertifyBoundedTopK(*ctx.selected, (*ctx.twigs)[t], merge_k,
-                         ctx.executor->options(), std::move(race.collapsed),
-                         race.have, merged.answers);
+                         ctx.executor->options(), race.ranked,
+                         merged.answers);
     } else {
       CertifyAnytimeTopK(*ctx.selected, (*ctx.twigs)[t], merge_k,
-                         ctx.executor->options(), std::move(race.collapsed),
-                         race.have, merged.answers,
+                         ctx.executor->options(), race.ranked, merged.answers,
                          merged.max_residual_bound);
     }
 #endif

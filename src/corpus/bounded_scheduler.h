@@ -9,11 +9,19 @@
 // bound-phase → best-bound-first wave loop, folds finished answers into
 // the SHARED tracker, and prunes/aborts against the SHARED threshold —
 // so an answer found by one shard immediately tightens the bar every
-// other shard must clear. Document slots (`collapsed`/`have`) are
-// indexed by GLOBAL selected-document index and each scheduler only ever
-// writes the slots of its own slice, so after every scheduler has
-// finished the races hold exactly what one scheduler over the whole
-// corpus would have produced.
+// other shard must clear. Document slots (`ranked`) are indexed by
+// GLOBAL selected-document index and each scheduler only ever writes the
+// slots of its own slice, so after every scheduler has finished the
+// races hold exactly what one scheduler over the whole corpus would have
+// produced.
+//
+// The wave loop resolves result-cache hits on the scheduler thread: an
+// item that survives its prune check is probed with the driver's key,
+// and a hit folds straight into its race (a refcount on the cached
+// entry's ranked list — no copy, no re-collapse, no dispatch), raising
+// the threshold before the next item's prune check. Only misses are
+// collected into executor waves, whose workers fold each finished item
+// the same way. Hits spend no evaluation credit of a RunBudget.
 //
 // Exactness under concurrency: the threshold starts at -1.0 and is only
 // ever raised to a full tracker's k-th best probability (a monotone max),
@@ -59,8 +67,7 @@ namespace uxm {
 struct TwigRace {
   TwigRace(int k, size_t num_docs)
       : tracker(k),
-        collapsed(num_docs),
-        have(num_docs, 0),
+        ranked(num_docs),
         compile_doc(num_docs),
         eval_doc(num_docs),
         num_docs(num_docs) {}
@@ -91,10 +98,11 @@ struct TwigRace {
 
   std::mutex mu;  ///< guards everything below
   TopKTracker tracker;
-  /// Per-document collapsed answers, by global selected index. Each
+  /// Per-document ranked answers, by global selected index — shared with
+  /// the item's RankedPtqResult, whether it came from the result cache or
+  /// was just evaluated; null until (unless) the item is folded. Each
   /// scheduler writes only its own slice's slots.
-  std::vector<std::vector<CorpusAnswer>> collapsed;
-  std::vector<char> have;  ///< collapsed[d] is populated
+  std::vector<RankedAnswersPtr> ranked;
   /// Smallest selected index whose pair failed to compile this twig
   /// (num_docs = none), and the status. Deterministic across schedules.
   size_t compile_doc;
@@ -112,6 +120,11 @@ struct BoundedPoolItem {
   uint32_t twig;
   uint32_t doc;
   double bound;
+  /// The item's BoundCache value after the bound phase (cached or just
+  /// probed); +infinity when it has none. A fold whose realized best
+  /// probability is not below it skips the (min-keeping, so no-op)
+  /// BoundCache insert.
+  double cached_bound;
 };
 
 /// \brief Everything one scheduler needs, shared across its phases. All
@@ -172,11 +185,13 @@ void BuildBoundedPool(const BoundedRunContext& ctx,
                       BoundedScheduleResult* out);
 
 /// The wave loop: sorts `pool` best-bound-first (stable, so the caller's
-/// (twig order, name order) append order breaks bound ties) and
-/// dispatches it in waves of max(executor threads, kMinWaveItems) items,
-/// pruning items whose bound has fallen below their twig's shared
-/// threshold and charging items of failed twigs, until every pool item
-/// is accounted. Safe to run concurrently from several threads over
+/// (twig order, name order) append order breaks bound ties) and walks
+/// it, pruning items whose bound has fallen below their twig's shared
+/// threshold, charging items of failed twigs, folding result-cache hits
+/// inline, and dispatching the misses in waves of max(executor threads,
+/// kMinWaveItems) items, until every pool item is accounted. At the end
+/// it samples the compiler and result-cache statistics into
+/// out->report, so they are present even when nothing was dispatched. Safe to run concurrently from several threads over
 /// disjoint slices against the same races; every scheduler's waves run
 /// on the ONE shared BatchQueryExecutor pool (whose dynamic claim loop
 /// includes the calling thread, so concurrent schedulers cannot
@@ -188,17 +203,12 @@ void RunBoundedWaves(const BoundedRunContext& ctx,
 
 /// Builds the per-twig answer slots from the (now quiescent) races, in
 /// input-twig order: failed twigs report their status (compile beats
-/// evaluation, smallest index each), the rest k-way-merge to the global
-/// top-k. `gathered`, when non-null, holds per-twig per-shard answer
-/// lists (each sorted by AnswerBefore) to merge INSTEAD of the races'
-/// per-document lists — the sharded scatter-gather path; the result is
-/// identical because a shard's top-k retains every answer that can reach
-/// the global top-k. Debug builds certify each merged twig against an
-/// exhaustive re-evaluation of every skipped document.
-void FinalizeBoundedAnswers(
-    const BoundedRunContext& ctx, int merge_k,
-    const std::vector<std::vector<std::vector<CorpusAnswer>>>* gathered,
-    std::vector<Result<CorpusQueryResult>>* answers);
+/// evaluation, smallest index each), the rest k-way-merge their ranked
+/// per-document lists to the global top-k. Debug builds certify each
+/// merged twig against an exhaustive re-evaluation of every skipped
+/// document.
+void FinalizeBoundedAnswers(const BoundedRunContext& ctx, int merge_k,
+                            std::vector<Result<CorpusQueryResult>>* answers);
 
 }  // namespace uxm
 

@@ -25,58 +25,101 @@ void StampResponseExact(CorpusBatchResponse* response) {
   }
 }
 
-bool AnswerBefore(const CorpusAnswer& a, const CorpusAnswer& b) {
-  if (a.probability != b.probability) return a.probability > b.probability;
-  if (a.document != b.document) return a.document < b.document;
-  return a.matches < b.matches;
+namespace {
+
+/// The one corpus answer order (see AnswerBefore), over answer fields.
+bool RanksBefore(double pa, const std::string& da,
+                 const std::vector<DocNodeId>& ma, double pb,
+                 const std::string& db, const std::vector<DocNodeId>& mb) {
+  if (pa != pb) return pa > pb;
+  if (da != db) return da < db;
+  return ma < mb;
 }
 
-std::vector<CorpusAnswer> CollapseForCorpus(const std::string& name,
-                                            const PtqResult& result) {
-  // One grouping definition in the codebase: CollapseByMatches does the
-  // per-match-set probability aggregation; here we only drop empty match
-  // sets, tag the document, and impose the canonical total order (the
-  // collapse's probability-only sort leaves ties unordered).
-  std::vector<CorpusAnswer> out;
-  for (MappingAnswer& a : result.CollapseByMatches()) {
-    if (a.matches.empty()) continue;
-    out.push_back(CorpusAnswer{name, a.probability, std::move(a.matches)});
-  }
-  std::sort(out.begin(), out.end(), AnswerBefore);
-  return out;
-}
+/// One merge candidate: the head of a per-document list, viewed in place.
+struct MergeHead {
+  size_t list = 0;
+  size_t pos = 0;
+  double probability = 0.0;
+  const std::string* document = nullptr;
+  const std::vector<DocNodeId>* matches = nullptr;
+};
 
-std::vector<CorpusAnswer> MergeTopK(
-    const std::vector<std::vector<CorpusAnswer>>& per_document, int k) {
-  // Each input list is already sorted by AnswerBefore (restricted to one
-  // document), so a heap over list heads yields the global order.
-  struct Head {
-    size_t list;
-    size_t pos;
+/// The k-way merge behind both MergeTopK forms. Each of the `num_lists`
+/// lists is sorted by AnswerBefore; `head_at(list, pos, &head)` views the
+/// pos-th answer of `list`, returning false past its end. Only the
+/// returned answers are copied out.
+template <typename HeadAt>
+std::vector<CorpusAnswer> MergeLists(size_t num_lists, size_t total, int k,
+                                     HeadAt head_at) {
+  auto worse = [](const MergeHead& x, const MergeHead& y) {
+    return RanksBefore(y.probability, *y.document, *y.matches,
+                       x.probability, *x.document, *x.matches);
   };
-  auto worse = [&](const Head& x, const Head& y) {
-    return AnswerBefore(per_document[y.list][y.pos],
-                        per_document[x.list][x.pos]);
-  };
-  std::priority_queue<Head, std::vector<Head>, decltype(worse)> heap(worse);
-  size_t total = 0;
-  for (size_t l = 0; l < per_document.size(); ++l) {
-    total += per_document[l].size();
-    if (!per_document[l].empty()) heap.push(Head{l, 0});
+  std::priority_queue<MergeHead, std::vector<MergeHead>, decltype(worse)>
+      heap(worse);
+  MergeHead head;
+  for (size_t l = 0; l < num_lists; ++l) {
+    if (head_at(l, 0, &head)) heap.push(head);
   }
   const size_t want = k > 0 ? std::min<size_t>(static_cast<size_t>(k), total)
                             : total;
   std::vector<CorpusAnswer> merged;
   merged.reserve(want);
   while (!heap.empty() && merged.size() < want) {
-    const Head head = heap.top();
+    const MergeHead top = heap.top();
     heap.pop();
-    merged.push_back(per_document[head.list][head.pos]);
-    if (head.pos + 1 < per_document[head.list].size()) {
-      heap.push(Head{head.list, head.pos + 1});
-    }
+    merged.push_back(
+        CorpusAnswer{*top.document, top.probability, *top.matches});
+    if (head_at(top.list, top.pos + 1, &head)) heap.push(head);
   }
   return merged;
+}
+
+}  // namespace
+
+bool AnswerBefore(const CorpusAnswer& a, const CorpusAnswer& b) {
+  return RanksBefore(a.probability, a.document, a.matches, b.probability,
+                     b.document, b.matches);
+}
+
+std::vector<CorpusAnswer> CollapseForCorpus(const std::string& name,
+                                            const PtqResult& result) {
+  std::vector<CorpusAnswer> out;
+  for (MappingAnswer& a : result.RankedMatchSets()) {
+    out.push_back(CorpusAnswer{name, a.probability, std::move(a.matches)});
+  }
+  return out;
+}
+
+std::vector<CorpusAnswer> MergeTopK(
+    const std::vector<std::vector<CorpusAnswer>>& per_document, int k) {
+  size_t total = 0;
+  for (const auto& list : per_document) total += list.size();
+  return MergeLists(
+      per_document.size(), total, k,
+      [&](size_t l, size_t pos, MergeHead* head) {
+        if (pos >= per_document[l].size()) return false;
+        const CorpusAnswer& a = per_document[l][pos];
+        *head = MergeHead{l, pos, a.probability, &a.document, &a.matches};
+        return true;
+      });
+}
+
+std::vector<CorpusAnswer> MergeTopK(
+    const std::vector<const CorpusDocument*>& docs,
+    const std::vector<RankedAnswersPtr>& ranked, int k) {
+  size_t total = 0;
+  for (const RankedAnswersPtr& list : ranked) {
+    if (list != nullptr) total += list->size();
+  }
+  return MergeLists(
+      ranked.size(), total, k, [&](size_t l, size_t pos, MergeHead* head) {
+        if (ranked[l] == nullptr || pos >= ranked[l]->size()) return false;
+        const MappingAnswer& a = (*ranked[l])[pos];
+        *head = MergeHead{l, pos, a.probability, &docs[l]->name, &a.matches};
+        return true;
+      });
 }
 
 Result<std::vector<const CorpusDocument*>> ResolveCorpusSelection(
@@ -148,8 +191,9 @@ Result<CorpusBatchResponse> CorpusExecutor::RunExhaustive(
   }
 
   CorpusBatchResponse response;
-  const std::vector<Result<PtqResult>> evaluated =
-      executor_->Run(items, /*default_pair=*/nullptr, &response.report, cache);
+  const std::vector<Result<std::shared_ptr<const RankedPtqResult>>> evaluated =
+      executor_->RunRanked(items, /*default_pair=*/nullptr, &response.report,
+                           cache);
   response.corpus.items_total = static_cast<int>(items.size());
   response.corpus.items_evaluated = static_cast<int>(items.size());
   response.corpus.dispatches = items.empty() ? 0 : 1;
@@ -159,22 +203,21 @@ Result<CorpusBatchResponse> CorpusExecutor::RunExhaustive(
     Status failed = Status::OK();
     CorpusQueryResult merged;
     merged.documents_evaluated = static_cast<int>(num_docs);
-    std::vector<std::vector<CorpusAnswer>> per_document;
-    per_document.reserve(num_docs);
+    std::vector<RankedAnswersPtr> ranked(num_docs);
     for (size_t d = 0; d < num_docs; ++d) {
-      const Result<PtqResult>& r = evaluated[q * num_docs + d];
+      const auto& r = evaluated[q * num_docs + d];
       if (!r.ok()) {
         failed = r.status();
         break;
       }
-      merged.truncated_embeddings |= r->truncated_embeddings;
-      per_document.push_back(CollapseForCorpus(selected[d]->name, *r));
+      merged.truncated_embeddings |= (*r)->result.truncated_embeddings;
+      ranked[d] = RankedAnswersOf(*r);
     }
     if (!failed.ok()) {
       response.answers.push_back(std::move(failed));
       continue;
     }
-    merged.answers = MergeTopK(per_document, options.top_k);
+    merged.answers = MergeTopK(selected, ranked, options.top_k);
     response.answers.push_back(std::move(merged));
   }
   response.corpus.elapsed_ns = timer.ElapsedNanos();
@@ -234,8 +277,7 @@ Result<CorpusBatchResponse> CorpusExecutor::RunBounded(
   response.report = std::move(sched.report);
   response.corpus = sched.corpus;
   response.corpus.items_total = static_cast<int>(num_twigs * num_docs);
-  FinalizeBoundedAnswers(ctx, options.top_k, /*gathered=*/nullptr,
-                         &response.answers);
+  FinalizeBoundedAnswers(ctx, options.top_k, &response.answers);
   StampResponseExact(&response);
   return response;
 }

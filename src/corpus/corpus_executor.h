@@ -47,13 +47,22 @@
 // — debug builds re-evaluate every skipped item and certify it, and
 // tests/differential_test.cc sweeps bounded vs brute force.
 //
-// Merge semantics: each document's PtqResult is first collapsed by match
-// set via PtqResult::CollapseByMatches (answers over different mappings
-// that bind the same document nodes aggregate their probabilities),
-// empty match sets are dropped (an answer with no witness nodes is not a
-// match of that document) and ties get a canonical order, and the
-// per-document lists — sorted by descending probability — are merged
-// with a heap into the global top-k.
+// Result-cache hits never leave the scheduler thread: right after an
+// item survives its prune check, the scheduler probes the result cache
+// with the driver's key (ResultKey in plan/driver.h). A hit folds
+// straight into its twig's race — one hash probe and one refcount, no
+// copy, no re-collapse, no hand-off to the pool — so its answers raise
+// the threshold before the next item's prune check; only misses form
+// executor waves. On a warm corpus a query therefore dispatches nothing.
+//
+// Merge semantics: each document's answers come as the ranked match sets
+// of its RankedPtqResult (PtqResult::RankedMatchSets — answers over
+// different mappings that bind the same document nodes aggregate their
+// probabilities, empty match sets are dropped, and ties get a canonical
+// order), built once by the driver on the miss path and shared from the
+// result cache on hits. The per-document lists are merged with a heap
+// into the global top-k, and only the <= k winners are materialized as
+// CorpusAnswers tagged with their document's name.
 // Ties break deterministically on (document name, match list), so the
 // result is identical for any thread count, cache state, or pruning
 // schedule.
@@ -62,6 +71,8 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <queue>
 #include <string>
 #include <vector>
@@ -183,7 +194,10 @@ struct CorpusQueryResult {
 /// lands in exactly one bucket, failures included.
 struct CorpusRunReport {
   int items_total = 0;      ///< twig x document units considered
-  int items_evaluated = 0;  ///< dispatched and evaluated (or cache hits)
+  /// Items whose answers were folded: dispatched and evaluated, or served
+  /// inline from the result cache (BatchRunReport::result_cache_hits
+  /// counts both kinds of hit).
+  int items_evaluated = 0;
   int items_pruned = 0;     ///< never dispatched (bound below threshold)
   int items_aborted = 0;    ///< cancelled in flight by the threshold
   /// Of items_aborted, those whose abort happened INSIDE the evaluation
@@ -193,7 +207,9 @@ struct CorpusRunReport {
   /// items never dispatched because their twig had already failed — a
   /// compile failure charges the twig's whole document count here.
   int items_failed = 0;
-  int dispatches = 0;  ///< executor waves issued
+  /// Executor waves issued. Only result-cache misses are dispatched, so
+  /// a fully warm run issues none.
+  int dispatches = 0;
   /// Of items_aborted, items never dispatched at all because the run's
   /// budget (deadline / max_evaluations) expired first. Budget aborts of
   /// items already in flight land in items_aborted(_in_kernel) like
@@ -211,6 +227,12 @@ struct CorpusRunReport {
 /// accounting.
 struct CorpusBatchResponse {
   std::vector<Result<CorpusQueryResult>> answers;
+  /// The executor statistics of the run's dispatched items —
+  /// items_per_thread counts dispatched items only — plus the inline
+  /// result-cache hits in result_cache_hits. The cumulative `compiler`
+  /// and `result_cache` samples are taken by the scheduler at the end of
+  /// the run, so a fully warm run that dispatches nothing still reports
+  /// them.
   BatchRunReport report;
   CorpusRunReport corpus;
   /// Per-shard scheduler reports when the batch ran through the sharded
@@ -232,32 +254,46 @@ void StampResponseExact(CorpusBatchResponse* response);
 
 /// Global answer order: probability descending, then document name, then
 /// match list (both ascending) so equal-probability answers have one
-/// canonical ranking. Exposed for testing (CollapseForCorpus, MergeTopK
-/// and TopKTracker all rank by it).
+/// canonical ranking. Exposed for testing (MergeTopK ranks by it, and
+/// PtqResult::RankedMatchSets by its restriction to one document).
 bool AnswerBefore(const CorpusAnswer& a, const CorpusAnswer& b);
 
-/// \brief The k best answers seen so far for one twig. With AnswerBefore
-/// as the priority_queue "less", top() is the element that ranks before
-/// nothing else — the current k-th best — whose probability is the
-/// pruning threshold once k answers are in hand.
+/// \brief The k best answer probabilities seen so far for one twig; the
+/// k-th best is the pruning threshold once k answers are in hand.
+///
+/// Only probabilities are kept: the k-th best probability among the
+/// answers offered does not depend on how equal-probability answers
+/// tie-break, so the documents and match lists that AnswerBefore needs
+/// for the merge are never copied in.
 ///
 /// k <= 0 means "no budget": the tracker holds nothing, full() is never
 /// true and kth_probability() is 0.0, so a caller that prunes only
 /// against a full tracker (the scheduler's contract) prunes nothing.
-/// This used to be undefined behavior guarded solely by a check in
-/// CorpusExecutor::Run; the tracker now defends itself so new call
-/// sites (cross-twig pool, sharded serving) cannot reintroduce it.
 class TopKTracker {
  public:
   explicit TopKTracker(int k) : k_(k) {}
 
-  void Push(const CorpusAnswer& answer) {
-    if (k_ <= 0) return;
+  /// Offers one answer probability. Returns false — and changes nothing —
+  /// when it cannot enter the top-k: k <= 0, or k answers are held and it
+  /// does not beat the k-th.
+  bool Push(double probability) {
+    if (k_ <= 0) return false;
     if (static_cast<int>(heap_.size()) < k_) {
-      heap_.push(answer);
-    } else if (AnswerBefore(answer, heap_.top())) {
-      heap_.pop();
-      heap_.push(answer);
+      heap_.push(probability);
+      return true;
+    }
+    if (!(probability > heap_.top())) return false;
+    heap_.pop();
+    heap_.push(probability);
+    return true;
+  }
+
+  /// Offers a ranked list (PtqResult::RankedMatchSets, probability
+  /// descending), stopping at the first answer that cannot enter: every
+  /// later answer ranks no higher, so none of them could either.
+  void PushRanked(const std::vector<MappingAnswer>& ranked) {
+    for (const MappingAnswer& a : ranked) {
+      if (!Push(a.probability)) return;
     }
   }
 
@@ -266,24 +302,29 @@ class TopKTracker {
 
   /// The current k-th best probability; 0.0 while empty (a threshold no
   /// bound can strictly fall below, so it never prunes).
-  double kth_probability() const {
-    return heap_.empty() ? 0.0 : heap_.top().probability;
-  }
+  double kth_probability() const { return heap_.empty() ? 0.0 : heap_.top(); }
 
  private:
-  struct WorseLast {
-    bool operator()(const CorpusAnswer& a, const CorpusAnswer& b) const {
-      return AnswerBefore(a, b);
-    }
-  };
   int k_;
-  std::priority_queue<CorpusAnswer, std::vector<CorpusAnswer>, WorseLast>
+  /// Min-heap: top() is the k-th best once full.
+  std::priority_queue<double, std::vector<double>, std::greater<double>>
       heap_;
 };
 
-/// Collapses one document's PtqResult into per-match-set corpus answers
-/// tagged `name`, dropping empty match sets, sorted descending by
-/// (probability, then ascending matches). Exposed for testing.
+/// One document's ranked answers (PtqResult::RankedMatchSets), shared
+/// with the RankedPtqResult they belong to — usually a result-cache
+/// entry, so holding the list keeps that entry alive without copying it.
+using RankedAnswersPtr = std::shared_ptr<const std::vector<MappingAnswer>>;
+
+/// The ranked answers of `entry`, sharing its ownership (no copy).
+inline RankedAnswersPtr RankedAnswersOf(
+    const std::shared_ptr<const RankedPtqResult>& entry) {
+  return RankedAnswersPtr(entry, &entry->ranked);
+}
+
+/// One document's PtqResult as corpus answers tagged `name`: its ranked
+/// match sets (PtqResult::RankedMatchSets). Exposed for testing — the
+/// brute-force oracles collapse single-document Query results with it.
 std::vector<CorpusAnswer> CollapseForCorpus(const std::string& name,
                                             const PtqResult& result);
 
@@ -293,6 +334,15 @@ std::vector<CorpusAnswer> CollapseForCorpus(const std::string& name,
 /// per-document Query results equals QueryCorpus.
 std::vector<CorpusAnswer> MergeTopK(
     const std::vector<std::vector<CorpusAnswer>>& per_document, int k);
+
+/// The corpus paths' merge: k-way-merges per-document ranked lists —
+/// `ranked[d]` belongs to `docs[d]`, null for a document never evaluated
+/// — into the global top-k (`k <= 0` keeps all), attaching document names
+/// only to the answers it returns. Identical to MergeTopK over the
+/// CollapseForCorpus lists.
+std::vector<CorpusAnswer> MergeTopK(
+    const std::vector<const CorpusDocument*>& docs,
+    const std::vector<RankedAnswersPtr>& ranked, int k);
 
 /// Resolves a CorpusQueryOptions::documents filter against a name-sorted
 /// corpus snapshot: empty selects the whole corpus, unknown names fail
@@ -337,7 +387,8 @@ class CorpusExecutor {
 
  private:
   /// The pre-PR-5 evaluate-everything path: one executor dispatch over
-  /// all twig x document items, then per-twig collapse + merge.
+  /// all twig x document items, then a per-twig merge of their ranked
+  /// lists.
   Result<CorpusBatchResponse> RunExhaustive(
       const std::vector<const CorpusDocument*>& selected,
       const std::vector<std::string>& twigs,
@@ -345,9 +396,10 @@ class CorpusExecutor {
 
   /// The Threshold-Algorithm scheduler (see file comment): per-twig
   /// bound phase (pair bound min'd with the cached/probed document
-  /// bound) -> ONE cross-twig pool sorted best-bound-first -> dispatch
-  /// waves with per-twig trackers/thresholds -> prune/abort/fail
-  /// accounting -> per-twig merge + debug certificate.
+  /// bound) -> ONE cross-twig pool sorted best-bound-first -> inline
+  /// result-cache hits plus dispatch waves of the misses, with per-twig
+  /// trackers/thresholds -> prune/abort/fail accounting -> per-twig
+  /// merge + debug certificate.
   Result<CorpusBatchResponse> RunBounded(
       const std::vector<const CorpusDocument*>& selected,
       const std::vector<std::string>& twigs,

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <exception>
+#include <type_traits>
 #include <utility>
 
 #include "exec/thread_pool.h"
@@ -73,14 +74,18 @@ BatchQueryExecutor::~BatchQueryExecutor() = default;
 
 int BatchQueryExecutor::num_threads() const { return pool_->num_threads(); }
 
-std::vector<Result<PtqResult>> BatchQueryExecutor::Run(
+template <typename Answer>
+std::vector<Result<Answer>> BatchQueryExecutor::RunItems(
     const std::vector<BatchQueryItem>& batch,
     const std::shared_ptr<const PreparedSchemaPair>& default_pair,
     BatchRunReport* report, const BatchCacheContext* cache,
     const BatchRunControl* control) const {
+  constexpr bool kRanked = !std::is_same_v<Answer, PtqResult>;
   const size_t n = batch.size();
-  std::vector<Result<PtqResult>> results(
-      n, Result<PtqResult>(Status::Internal("item not executed")));
+  // Every slot is overwritten by the worker that claims its item, so the
+  // placeholder is never observed; an empty message keeps the fill free
+  // of one heap allocation per item.
+  std::vector<Result<Answer>> results(n, Result<Answer>(Status::Internal("")));
   if (report != nullptr) {
     *report = BatchRunReport{};
     report->num_threads = pool_->num_threads();
@@ -139,15 +144,21 @@ std::vector<Result<PtqResult>> BatchQueryExecutor::Run(
           request.budget = control->budget;
         }
         DriverCounters counters;
-        results[i] = ExecutionDriver::Execute(request, &counters);
+        if constexpr (kRanked) {
+          results[i] = ExecutionDriver::ExecuteRanked(request, &counters);
+        } else {
+          results[i] = ExecutionDriver::Execute(request, &counters);
+        }
         ws.compile_hits += counters.compile_hit ? 1 : 0;
         ws.result_hits += counters.result_hit ? 1 : 0;
         ws.result_misses += counters.result_miss ? 1 : 0;
         ws.mappings_pruned += counters.select.skipped;
         ws.aborted += counters.cancelled ? 1 : 0;
         ws.aborted_in_kernel += counters.cancelled_in_kernel ? 1 : 0;
-        if (control != nullptr && control->on_item_done) {
-          control->on_item_done(i, results[i]);
+        if constexpr (kRanked) {
+          if (control != nullptr && control->on_item_done) {
+            control->on_item_done(i, results[i]);
+          }
         }
       } catch (const std::exception& e) {
         results[i] = Status::Internal(std::string("evaluation threw: ") +
@@ -188,6 +199,24 @@ std::vector<Result<PtqResult>> BatchQueryExecutor::Run(
     }
   }
   return results;
+}
+
+std::vector<Result<PtqResult>> BatchQueryExecutor::Run(
+    const std::vector<BatchQueryItem>& batch,
+    const std::shared_ptr<const PreparedSchemaPair>& default_pair,
+    BatchRunReport* report, const BatchCacheContext* cache) const {
+  return RunItems<PtqResult>(batch, default_pair, report, cache,
+                             /*control=*/nullptr);
+}
+
+std::vector<Result<std::shared_ptr<const RankedPtqResult>>>
+BatchQueryExecutor::RunRanked(
+    const std::vector<BatchQueryItem>& batch,
+    const std::shared_ptr<const PreparedSchemaPair>& default_pair,
+    BatchRunReport* report, const BatchCacheContext* cache,
+    const BatchRunControl* control) const {
+  return RunItems<std::shared_ptr<const RankedPtqResult>>(
+      batch, default_pair, report, cache, control);
 }
 
 }  // namespace uxm

@@ -78,12 +78,14 @@ struct BatchRunControl {
   /// Status::Cancelled instead of evaluating (see plan/driver.h).
   const std::atomic<double>* cancel_threshold = nullptr;
   /// Called once per completed item, ON THE WORKER THREAD that ran it,
-  /// with the item's batch index and its result — before Run returns.
-  /// The corpus scheduler uses it to fold finished answers into its
-  /// global top-k and raise the threshold mid-run, which is what lets
-  /// later items of the same dispatch abort in flight. Must be
-  /// thread-safe; must not call back into this executor.
-  std::function<void(size_t, const Result<PtqResult>&)> on_item_done;
+  /// with the item's batch index and its (shared, ranked) result — before
+  /// RunRanked returns. The corpus scheduler uses it to fold finished
+  /// answers into its global top-k and raise the threshold mid-run, which
+  /// is what lets later items of the same dispatch abort in flight. Must
+  /// be thread-safe; must not call back into this executor.
+  std::function<void(size_t,
+                     const Result<std::shared_ptr<const RankedPtqResult>>&)>
+      on_item_done;
   /// Shared deadline/evaluation budget of an anytime corpus run
   /// (corpus/run_budget.h); copied into every item's DriverRequest. Null
   /// = unbudgeted. See DriverRequest::budget for the polling and
@@ -166,9 +168,18 @@ class BatchQueryExecutor {
   /// non-null it receives this run's statistics. When `cache` binds a
   /// ResultCache, hits skip evaluation and successful answers are
   /// inserted keyed under the item's epoch (or cache->epoch).
-  /// `control` (optional) threads the corpus scheduler's cancel
-  /// threshold and completion hook through the run (see BatchRunControl).
   std::vector<Result<PtqResult>> Run(
+      const std::vector<BatchQueryItem>& batch,
+      const std::shared_ptr<const PreparedSchemaPair>& default_pair,
+      BatchRunReport* report = nullptr,
+      const BatchCacheContext* cache = nullptr) const;
+
+  /// Run's corpus form: every slot holds the item's shared
+  /// RankedPtqResult (ExecutionDriver::ExecuteRanked — a result-cache hit
+  /// is the cached entry itself, never a copy). `control` (optional)
+  /// threads the corpus scheduler's cancel thresholds, budget and
+  /// completion hook through the run (see BatchRunControl).
+  std::vector<Result<std::shared_ptr<const RankedPtqResult>>> RunRanked(
       const std::vector<BatchQueryItem>& batch,
       const std::shared_ptr<const PreparedSchemaPair>& default_pair,
       BatchRunReport* report = nullptr,
@@ -190,6 +201,15 @@ class BatchQueryExecutor {
   /// workload's high-water mark — is recycled across Runs.
   std::unique_ptr<MonotonicScratch> AcquireScratch() const;
   void ReleaseScratch(std::unique_ptr<MonotonicScratch> scratch) const;
+
+  /// The shared worker loop of Run (Answer = PtqResult) and RunRanked
+  /// (Answer = the shared RankedPtqResult).
+  template <typename Answer>
+  std::vector<Result<Answer>> RunItems(
+      const std::vector<BatchQueryItem>& batch,
+      const std::shared_ptr<const PreparedSchemaPair>& default_pair,
+      BatchRunReport* report, const BatchCacheContext* cache,
+      const BatchRunControl* control) const;
 
   BatchExecutorOptions options_;
   std::unique_ptr<ThreadPool> pool_;

@@ -29,11 +29,8 @@ Status BudgetExpiredStatus() {
   return Status::Cancelled("corpus run budget expired before evaluation");
 }
 
-}  // namespace
-
-Result<PtqResult> ExecutionDriver::Execute(const DriverRequest& request,
-                                           DriverCounters* counters) {
-  if (counters != nullptr) *counters = DriverCounters{};
+/// Rejects requests missing a required pointer.
+Status Validate(const DriverRequest& request) {
   if (request.pair == nullptr) {
     return Status::InvalidArgument("request has no prepared pair");
   }
@@ -43,19 +40,40 @@ Result<PtqResult> ExecutionDriver::Execute(const DriverRequest& request,
   if (request.twig == nullptr) {
     return Status::InvalidArgument("request has no twig");
   }
-  UXM_INJECT_FAULT(FaultSite::kDriverDispatch);
-  const PreparedSchemaPair& pair = *request.pair;
-  ResultCacheKey key;
-  if (request.cache != nullptr) {
-    key = ResultCacheKey{*request.twig,       &request.doc->doc(),
-                         request.epoch,       request.options.top_k,
-                         request.use_block_tree, pair.pair_id};
-    if (auto hit = request.cache->Lookup(key)) {
-      if (counters != nullptr) counters->result_hit = true;
-      return *hit;
-    }
-    if (counters != nullptr) counters->result_miss = true;
+  return Status::OK();
+}
+
+ItemKeyRef RequestKey(const DriverRequest& request) {
+  return ResultKey(*request.twig, HashTwig(*request.twig), *request.doc,
+                   request.epoch, request.options.top_k,
+                   request.use_block_tree, *request.pair);
+}
+
+/// The request's result-cache entry, or null on a miss (or without a
+/// cache). Records the probe's outcome in `counters`.
+std::shared_ptr<const RankedPtqResult> Probe(const DriverRequest& request,
+                                             DriverCounters* counters) {
+  if (request.cache == nullptr) return nullptr;
+  auto hit = request.cache->Lookup(RequestKey(request));
+  if (counters != nullptr) {
+    counters->result_hit = hit != nullptr;
+    counters->result_miss = hit == nullptr;
   }
+  return hit;
+}
+
+/// Whether a fresh answer of `request` goes into the result cache.
+/// Budgeted runs never populate it (see DriverRequest::budget): a
+/// truncated run's artifacts must not be served to later exact callers.
+bool ShouldInsert(const DriverRequest& request) {
+  return request.cache != nullptr && request.budget == nullptr;
+}
+
+/// Everything past a result-cache miss: cancel/budget checks, compile,
+/// early-termination selection and the flat kernel.
+Result<PtqResult> Evaluate(const DriverRequest& request,
+                           DriverCounters* counters) {
+  const PreparedSchemaPair& pair = *request.pair;
   // Past the (free) cache probe, this request is about to do real work;
   // abort if the scheduler's threshold already proves it pointless or the
   // run's budget has expired.
@@ -116,12 +134,42 @@ Result<PtqResult> ExecutionDriver::Execute(const DriverRequest& request,
     counters->cancelled = true;
     counters->cancelled_in_kernel = true;
   }
-  // Budgeted runs never populate the result cache (see
-  // DriverRequest::budget): a truncated run's artifacts must not be
-  // served to later exact callers.
-  if (answer.ok() && request.cache != nullptr && request.budget == nullptr) {
-    request.cache->Insert(key,
-                          std::make_shared<const PtqResult>(answer.value()));
+  return answer;
+}
+
+}  // namespace
+
+ItemKeyRef ResultKey(std::string_view twig, size_t twig_hash,
+                     const AnnotatedDocument& doc, uint64_t epoch, int top_k,
+                     bool use_block_tree, const PreparedSchemaPair& pair) {
+  return ItemKeyRef(twig, twig_hash, &doc.doc(), epoch, top_k, use_block_tree,
+                    pair.pair_id);
+}
+
+Result<std::shared_ptr<const RankedPtqResult>> ExecutionDriver::ExecuteRanked(
+    const DriverRequest& request, DriverCounters* counters) {
+  if (counters != nullptr) *counters = DriverCounters{};
+  UXM_RETURN_NOT_OK(Validate(request));
+  UXM_INJECT_FAULT(FaultSite::kDriverDispatch);
+  if (auto hit = Probe(request, counters)) return hit;
+  Result<PtqResult> answer = Evaluate(request, counters);
+  if (!answer.ok()) return answer.status();
+  auto entry =
+      std::make_shared<const RankedPtqResult>(std::move(answer).ValueOrDie());
+  if (ShouldInsert(request)) request.cache->Insert(RequestKey(request), entry);
+  return entry;
+}
+
+Result<PtqResult> ExecutionDriver::Execute(const DriverRequest& request,
+                                           DriverCounters* counters) {
+  if (counters != nullptr) *counters = DriverCounters{};
+  UXM_RETURN_NOT_OK(Validate(request));
+  UXM_INJECT_FAULT(FaultSite::kDriverDispatch);
+  if (auto hit = Probe(request, counters)) return hit->result;
+  Result<PtqResult> answer = Evaluate(request, counters);
+  if (answer.ok() && ShouldInsert(request)) {
+    request.cache->Insert(RequestKey(request),
+                          std::make_shared<const RankedPtqResult>(answer.value()));
   }
   return answer;
 }

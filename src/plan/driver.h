@@ -5,20 +5,33 @@
 //   result-cache probe → compile (plan cache) → early-termination top-k
 //   mapping selection → prepared evaluation → result-cache insert
 //
-// The key schema and insert rules live only here, so single-shot queries,
-// batch workers and corpus fan-outs can never drift apart (they used to
-// be three separately-evolved copies of this protocol). Top-k requests
-// select mappings through QueryPlan::SelectForTopK, which consumes the
-// pair's descending-probability work units and stops as soon as the
-// residual mass provably cannot alter the top-k answer set — exact, not
-// approximate (differential-tested against the unpruned enumeration).
+// The key schema (ResultKey) and insert rules live only here, so
+// single-shot queries, batch workers and corpus fan-outs can never drift
+// apart (they used to be three separately-evolved copies of this
+// protocol); the corpus scheduler's inline hit probes build their keys
+// with ResultKey too.
+//
+// A miss builds the answer's RankedPtqResult (the PtqResult plus its
+// ranked match sets) once, on the path that inserts it; a hit hands out
+// that shared entry. ExecuteRanked returns the entry itself — the corpus
+// path's zero-copy form — and Execute copies its PtqResult out for the
+// public single-document calls.
+//
+// Top-k requests select mappings through QueryPlan::SelectForTopK, which
+// consumes the pair's descending-probability work units and stops as
+// soon as the residual mass provably cannot alter the top-k answer set —
+// exact, not approximate (differential-tested against the unpruned
+// enumeration).
 #ifndef UXM_PLAN_DRIVER_H_
 #define UXM_PLAN_DRIVER_H_
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 
+#include "cache/item_key.h"
 #include "cache/result_cache.h"
 #include "common/arena.h"
 #include "common/status.h"
@@ -97,11 +110,30 @@ struct DriverCounters {
   PlanSelectStats select;
 };
 
+/// The driver's result-cache key for one evaluation: (twig, document
+/// identity, epoch, effective top-k, algorithm, pair id). `twig_hash`
+/// must be HashTwig(twig); callers probing many documents with one twig
+/// compute it once. The corpus scheduler keys its inline result-cache
+/// probes and its BoundCache entries with this same function.
+ItemKeyRef ResultKey(std::string_view twig, size_t twig_hash,
+                     const AnnotatedDocument& doc, uint64_t epoch, int top_k,
+                     bool use_block_tree, const PreparedSchemaPair& pair);
+
 /// \brief Stateless driver; Execute is safe to call from any number of
 /// threads concurrently (all shared state lives in the pair's internally
 /// synchronized compiler/plans and the sharded result cache).
 class ExecutionDriver {
  public:
+  /// Runs the protocol and returns the answer in its shared, immutable
+  /// form: on a result-cache hit the cached entry itself (no copy), on a
+  /// miss the entry built from the fresh evaluation (and inserted, unless
+  /// the request is budgeted).
+  static Result<std::shared_ptr<const RankedPtqResult>> ExecuteRanked(
+      const DriverRequest& request, DriverCounters* counters = nullptr);
+
+  /// Runs the protocol and returns a PtqResult the caller owns: a hit
+  /// copies the cached answer once; a miss that is not inserted never
+  /// builds the ranked form.
   static Result<PtqResult> Execute(const DriverRequest& request,
                                    DriverCounters* counters = nullptr);
 };

@@ -30,6 +30,23 @@ std::vector<MappingAnswer> PtqResult::CollapseByMatches() const {
   return collapsed;
 }
 
+std::vector<MappingAnswer> PtqResult::RankedMatchSets() const {
+  std::vector<MappingAnswer> ranked = CollapseByMatches();
+  ranked.erase(std::remove_if(ranked.begin(), ranked.end(),
+                              [](const MappingAnswer& a) {
+                                return a.matches.empty();
+                              }),
+               ranked.end());
+  std::sort(ranked.begin(), ranked.end(),
+            [](const MappingAnswer& x, const MappingAnswer& y) {
+              if (x.probability != y.probability) {
+                return x.probability > y.probability;
+              }
+              return x.matches < y.matches;
+            });
+  return ranked;
+}
+
 double PtqResult::NonEmptyMass() const {
   double mass = 0.0;
   for (const MappingAnswer& a : answers) {

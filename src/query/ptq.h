@@ -65,8 +65,31 @@ struct PtqResult {
   /// {("Bob", .3), ("Alice", .2)} aggregates over mappings).
   std::vector<MappingAnswer> CollapseByMatches() const;
 
+  /// One document's answers in corpus form: CollapseByMatches without
+  /// the empty match sets (an answer with no witness node is not a match
+  /// of the document), ranked by probability descending, then match list
+  /// ascending — the corpus answer order (AnswerBefore in
+  /// corpus/corpus_executor.h) restricted to one document. Each entry's
+  /// `mapping` is the first mapping that produced its match set.
+  std::vector<MappingAnswer> RankedMatchSets() const;
+
   /// Total probability mass of answers with at least one match.
   double NonEmptyMass() const;
+};
+
+/// \brief A PtqResult together with its ranked match sets
+/// (PtqResult::RankedMatchSets), built once and immutable afterwards.
+///
+/// This is the result cache's entry and the corpus scheduler's unit of
+/// work: a cache hit hands out the shared object itself, so the corpus
+/// path folds and merges `ranked` without copying or re-collapsing the
+/// answers, and only the public single-document calls copy `result`.
+struct RankedPtqResult {
+  explicit RankedPtqResult(PtqResult r)
+      : result(std::move(r)), ranked(result.RankedMatchSets()) {}
+
+  PtqResult result;
+  std::vector<MappingAnswer> ranked;
 };
 
 /// \brief Evaluation options.

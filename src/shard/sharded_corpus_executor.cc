@@ -90,11 +90,8 @@ Result<CorpusBatchResponse> ShardedCorpusExecutor::Run(
   }
   ctx.on_deadline = options.on_deadline;
 
-  // Per-shard scheduler results and per-(twig, shard) gathered top-k
-  // lists. Each driver writes only its own slots, so no locks.
+  // Per-shard scheduler results; each driver writes only its own slot.
   std::vector<BoundedScheduleResult> shard_results(num_shards);
-  std::vector<std::vector<std::vector<CorpusAnswer>>> gathered(
-      num_twigs, std::vector<std::vector<CorpusAnswer>>(num_shards));
   {
     ScopedThreads drivers;
     for (size_t s = 0; s < num_shards; ++s) {
@@ -110,22 +107,6 @@ Result<CorpusBatchResponse> ShardedCorpusExecutor::Run(
         BuildBoundedPool(ctx, slice, &pool, &result);
         RunBoundedWaves(ctx, std::move(pool), &result);
         result.corpus.elapsed_ns = shard_timer.ElapsedNanos();
-        // Gather: this shard's per-twig top-k (what a remote shard
-        // would ship back). Our own slots of collapsed/have are
-        // quiescent — every wave of ours has joined — and no other
-        // shard ever writes them.
-        for (size_t t = 0; t < num_twigs; ++t) {
-          TwigRace& race = *races[t];
-          if (race.failed.load(std::memory_order_acquire)) continue;
-          std::vector<std::vector<CorpusAnswer>> local;
-          local.reserve(slice.size());
-          for (const uint32_t d : slice) {
-            if (race.have[d] && !race.collapsed[d].empty()) {
-              local.push_back(race.collapsed[d]);
-            }
-          }
-          gathered[t][s] = MergeTopK(local, options.top_k);
-        }
       });
     }
   }
@@ -142,7 +123,7 @@ Result<CorpusBatchResponse> ShardedCorpusExecutor::Run(
     AccumulateCorpusReport(shard_results[s].corpus, &response.corpus);
     response.shard_reports.push_back(shard_results[s].corpus);
   }
-  FinalizeBoundedAnswers(ctx, options.top_k, &gathered, &response.answers);
+  FinalizeBoundedAnswers(ctx, options.top_k, &response.answers);
   StampResponseExact(&response);
   return response;
 }

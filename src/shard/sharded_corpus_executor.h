@@ -21,12 +21,11 @@
 //     driver checks or inside the kernel (the PR 8 KernelCancelContext
 //     plumbing, fed through BatchQueryItem::cancel_threshold).
 //
-//   gather — each driver ends by merging its own slice's answers into a
-//     per-twig shard-local top-k (what a network shard would ship); the
-//     coordinator k-way-merges the S lists per twig with the same
-//     AnswerBefore tie-breaks as the single scheduler. Exact by the
-//     scatter-gather property: any answer in the global top-k is in the
-//     top-k of the one shard holding its document.
+//   gather — once every driver has joined, the coordinator k-way-merges
+//     the races' per-document ranked lists (shared with the result-cache
+//     entries they came from, so nothing is copied until the <= k
+//     winners are materialized) with the same AnswerBefore tie-breaks as
+//     the single scheduler — the very merge the single scheduler runs.
 //
 // Exactness: bit-identical to the single-scheduler path — pruning only
 // ever drops items k in-hand answers provably beat (the threshold is a

@@ -4,13 +4,10 @@
 #include <utility>
 
 #include "common/checksum.h"
-#include "exec/thread_pool.h"
 
 namespace uxm {
 
-int DefaultShardCount() {
-  return std::min(ThreadPool::DefaultThreadCount(), 8);
-}
+int DefaultShardCount() { return 1; }
 
 size_t ShardForDocument(const std::string& name, size_t num_shards) {
   if (num_shards <= 1) return 0;

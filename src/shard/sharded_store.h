@@ -31,10 +31,11 @@
 
 namespace uxm {
 
-/// Default shard count: min(hardware threads, 8), floor 1. Eight is
-/// where the scatter-gather win flattens for in-process serving — more
-/// shards mean more driver threads contending for the one evaluation
-/// pool without adding bound-phase parallelism.
+/// Default shard count: 1, on every host. A shard layout is a property of
+/// the serving state, not of the machine: with a host-derived default
+/// the same corpus partitioned (and accounted) differently on different
+/// hosts, and every sharded query paid one driver-thread spawn per
+/// shard. Sharding is opt-in through an explicit count.
 int DefaultShardCount();
 
 /// Stable shard assignment: FNV-1a-64 of the document name modulo

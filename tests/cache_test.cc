@@ -174,10 +174,10 @@ TEST(ResultCacheTest, RoundTripAndStats) {
   ResultCache cache;
   const ResultCacheKey key{"//A", nullptr, 1, 0, true};
   EXPECT_EQ(cache.Lookup(key), nullptr);
-  cache.Insert(key, std::make_shared<const PtqResult>(MakeResult(3, 2)));
+  cache.Insert(key, std::make_shared<const RankedPtqResult>(MakeResult(3, 2)));
   auto hit = cache.Lookup(key);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->answers.size(), 3u);
+  EXPECT_EQ(hit->result.answers.size(), 3u);
   const ResultCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
@@ -190,7 +190,7 @@ TEST(ResultCacheTest, DistinctKeyDimensionsDoNotCollide) {
   ResultCache cache;
   const int docs[2] = {0, 0};
   const ResultCacheKey base{"//A", &docs[0], 1, 0, true};
-  cache.Insert(base, std::make_shared<const PtqResult>(MakeResult(1, 1)));
+  cache.Insert(base, std::make_shared<const RankedPtqResult>(MakeResult(1, 1)));
   ResultCacheKey other = base;
   other.twig = "//B";
   EXPECT_EQ(cache.Lookup(other), nullptr);
@@ -224,11 +224,11 @@ TEST(ResultCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
     return ResultCacheKey{"q" + std::to_string(i), nullptr, 1, 0, true};
   };
   for (int i = 0; i < 3; ++i) {
-    cache.Insert(key(i), std::make_shared<const PtqResult>(sample));
+    cache.Insert(key(i), std::make_shared<const RankedPtqResult>(sample));
   }
   ASSERT_EQ(cache.Stats().entries, 3u);
   EXPECT_NE(cache.Lookup(key(0)), nullptr);  // refresh 0: 1 is now LRU
-  cache.Insert(key(3), std::make_shared<const PtqResult>(sample));
+  cache.Insert(key(3), std::make_shared<const RankedPtqResult>(sample));
   EXPECT_GE(cache.Stats().evictions, 1u);
   EXPECT_EQ(cache.Lookup(key(1)), nullptr);  // the LRU victim
   EXPECT_NE(cache.Lookup(key(0)), nullptr);
@@ -242,7 +242,7 @@ TEST(ResultCacheTest, OversizedEntriesAreNotCached) {
   opts.max_bytes = 64;  // smaller than any real result
   ResultCache cache(opts);
   const ResultCacheKey key{"//A", nullptr, 1, 0, true};
-  cache.Insert(key, std::make_shared<const PtqResult>(MakeResult(64, 64)));
+  cache.Insert(key, std::make_shared<const RankedPtqResult>(MakeResult(64, 64)));
   EXPECT_EQ(cache.Stats().entries, 0u);
   EXPECT_EQ(cache.Lookup(key), nullptr);
 }
@@ -256,7 +256,7 @@ TEST(ResultCacheTest, ErasePairSweepsOnlyThatPair) {
   };
   for (int i = 0; i < 6; ++i) {
     cache.Insert(key(i, i % 2 == 0 ? 7 : 9),
-                 std::make_shared<const PtqResult>(MakeResult(2, 2)));
+                 std::make_shared<const RankedPtqResult>(MakeResult(2, 2)));
   }
   ASSERT_EQ(cache.Stats().entries, 6u);
   EXPECT_EQ(cache.ErasePair(7), 3u);
@@ -275,7 +275,7 @@ TEST(ResultCacheTest, ClearInvalidatesEverything) {
   ResultCache cache;
   for (int i = 0; i < 10; ++i) {
     cache.Insert(ResultCacheKey{"q" + std::to_string(i), nullptr, 1, 0, true},
-                 std::make_shared<const PtqResult>(MakeResult(2, 2)));
+                 std::make_shared<const RankedPtqResult>(MakeResult(2, 2)));
   }
   cache.Clear();
   const ResultCacheStats stats = cache.Stats();

@@ -597,8 +597,8 @@ TEST(TopKTrackerTest, NonPositiveKHoldsNothingAndNeverPrunes) {
     TopKTracker tracker(k);
     EXPECT_FALSE(tracker.full()) << "k=" << k;
     EXPECT_EQ(tracker.kth_probability(), 0.0) << "k=" << k;
-    tracker.Push(CorpusAnswer{"d", 0.9, {1}});
-    tracker.Push(CorpusAnswer{"d", 0.5, {2}});
+    tracker.Push(0.9);
+    tracker.Push(0.5);
     EXPECT_FALSE(tracker.full()) << "k=" << k;
     EXPECT_EQ(tracker.kth_probability(), 0.0) << "k=" << k;
   }
@@ -608,14 +608,14 @@ TEST(TopKTrackerTest, TracksTheKthBestProbability) {
   TopKTracker tracker(2);
   EXPECT_FALSE(tracker.full());
   EXPECT_EQ(tracker.kth_probability(), 0.0);  // empty: threshold floor
-  tracker.Push(CorpusAnswer{"d", 0.25, {1}});
+  tracker.Push(0.25);
   EXPECT_FALSE(tracker.full());
-  tracker.Push(CorpusAnswer{"d", 0.75, {2}});
+  tracker.Push(0.75);
   EXPECT_TRUE(tracker.full());
   EXPECT_DOUBLE_EQ(tracker.kth_probability(), 0.25);
-  tracker.Push(CorpusAnswer{"d", 0.5, {3}});  // displaces the 0.25
+  tracker.Push(0.5);  // displaces the 0.25
   EXPECT_DOUBLE_EQ(tracker.kth_probability(), 0.5);
-  tracker.Push(CorpusAnswer{"d", 0.1, {4}});  // below the 2nd best: ignored
+  tracker.Push(0.1);  // below the 2nd best: ignored
   EXPECT_DOUBLE_EQ(tracker.kth_probability(), 0.5);
 }
 
