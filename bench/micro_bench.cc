@@ -577,7 +577,8 @@ BENCHMARK(BM_ManyTwigCorpusBatch)->UseRealTime();
 // actually measured, and the executor pool is pinned to ONE worker: a
 // pool worker and the calling thread race for each wave's single claim
 // slot, so with S=1 the whole corpus retires on one thread while with
-// S=8 each shard's dedicated driver carries its own waves — the ratio
+// S=8 each shard's scheduler carries its own waves (the caller thread
+// runs the first shard, a dedicated driver each other one) — the ratio
 // isolates the scatter-gather parallelism itself with total work held
 // fixed (the gated twig prunes nothing, so every S evaluates the same
 // items; answers are bit-identical at every S, see

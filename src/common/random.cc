@@ -76,21 +76,4 @@ double Rng::Gaussian(double mean, double stddev) {
   return mean + stddev * r * std::cos(theta);
 }
 
-uint64_t Rng::Zipf(uint64_t n, double s) {
-  assert(n > 0);
-  // Inverse-CDF by rejection on the harmonic approximation; adequate for
-  // workload generation (not a hot path).
-  const double t = (std::pow(static_cast<double>(n), 1.0 - s) - s) / (1.0 - s);
-  for (;;) {
-    const double u = NextDouble() * t;
-    const double x =
-        (u <= 1.0) ? u : std::pow(u * (1.0 - s) + s, 1.0 / (1.0 - s));
-    const uint64_t k = static_cast<uint64_t>(x);
-    if (k >= n) continue;
-    const double ratio = std::pow(static_cast<double>(k + 1), -s);
-    const double bound = (k == 0) ? 1.0 : std::pow(static_cast<double>(k), -s);
-    if (NextDouble() * bound <= ratio) return k;
-  }
-}
-
 }  // namespace uxm

@@ -43,10 +43,6 @@ class Rng {
   /// Gaussian via Box-Muller (mean, stddev).
   double Gaussian(double mean, double stddev);
 
-  /// Zipf-distributed integer in [0, n) with exponent `s` (s>0).
-  /// Used to skew vocabulary and repetition choices like real documents.
-  uint64_t Zipf(uint64_t n, double s);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* v) {

@@ -25,8 +25,8 @@ UncertainMatchingSystem::FreedPagesRelease::~FreedPagesRelease() {
 
 UncertainMatchingSystem::UncertainMatchingSystem(SystemOptions options)
     : options_(std::move(options)),
-      result_cache_(std::make_shared<ResultCache>(ResultCacheOptions{
-          options_.cache.max_result_bytes, options_.cache.result_shards})),
+      result_cache_(std::make_shared<ResultCache>(
+          ResultCacheOptions{options_.cache.max_result_bytes})),
       store_(options_.corpus_shards) {}
 
 Status UncertainMatchingSystem::Prepare(const Schema* source,
@@ -598,20 +598,31 @@ Status UncertainMatchingSystem::LoadSnapshot(const std::string& path,
   std::vector<std::shared_ptr<const PreparedSchemaPair>> evicted;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    // All-or-nothing: reject name collisions (against the live corpus
-    // and within the snapshot) before mutating any state.
-    std::unordered_set<std::string> taken;
-    for (const std::string& name : store_.Names()) taken.insert(name);
-    for (const LoadedDoc& ld : loaded.documents) {
-      if (!taken.insert(ld.name).second) {
-        return Status::AlreadyExists("corpus document '" + ld.name +
-                                     "' is already registered");
-      }
+    // The loaded state is a new serving instant (epoch_ + 1; in-flight
+    // inserts keyed on the old epoch become unreachable), and each
+    // document gets its own epoch after it.
+    const uint64_t load_epoch = epoch_ + 1;
+    std::vector<CorpusDocument> entries;
+    entries.reserve(loaded.documents.size());
+    for (LoadedDoc& ld : loaded.documents) {
+      auto keep = std::make_shared<DocKeepAlive>();
+      keep->doc = ld.doc;
+      keep->annotated = std::move(ld.annotated);
+      CorpusDocument entry;
+      entry.name = std::move(ld.name);
+      entry.doc = keep->doc.get();
+      entry.annotated = std::shared_ptr<const AnnotatedDocument>(
+          keep, keep->annotated.get());
+      entry.epoch = load_epoch + 1 + entries.size();
+      entry.pair = pairs[ld.pair_index];
+      entries.push_back(std::move(entry));
     }
-
-    ++epoch_;  // loaded state is a new serving instant; in-flight
-               // inserts keyed on the old epoch become unreachable
-    doc_epoch_ = epoch_;
+    // All-or-nothing: the store rejects a name collision (against the
+    // live corpus or within the snapshot) before publishing anything, and
+    // nothing else has been mutated yet.
+    UXM_RETURN_NOT_OK(store_.AddAll(std::move(entries)));
+    epoch_ = load_epoch + loaded.documents.size();
+    doc_epoch_ = load_epoch;
     for (const auto& pair : pairs) {
       // Loaded schemas are fresh heap objects, so these keys can never
       // collide with an existing registration — Install always adds.
@@ -623,20 +634,6 @@ Status UncertainMatchingSystem::LoadSnapshot(const std::string& path,
       // default pair's source schema, never the freshly materialized one.
       annotated_ = nullptr;
       prepared_.store(true, std::memory_order_release);
-    }
-    for (LoadedDoc& ld : loaded.documents) {
-      auto keep = std::make_shared<DocKeepAlive>();
-      keep->doc = ld.doc;
-      keep->annotated = std::move(ld.annotated);
-      CorpusDocument entry;
-      entry.name = std::move(ld.name);
-      entry.doc = keep->doc.get();
-      entry.annotated = std::shared_ptr<const AnnotatedDocument>(
-          keep, keep->annotated.get());
-      entry.epoch = epoch_ + 1;
-      entry.pair = pairs[ld.pair_index];
-      UXM_RETURN_NOT_OK(store_.Add(std::move(entry)));
-      ++epoch_;
     }
     // Loading is an install burst: enforce the max_pairs cap after the
     // documents land so a victim's corpus entries are dropped with it

@@ -24,8 +24,9 @@
 // epoch, top-k, algorithm, pair).
 //
 // Corpus serving: beyond the single AttachDocument slot, the facade holds
-// a DocumentStore of named documents — each annotated once at AddDocument
-// time against ITS pair's source schema and stamped with its own epoch —
+// a corpus store of named documents (shard/sharded_store.h) — each
+// annotated once at AddDocument time against ITS pair's source schema and
+// stamped with its own epoch —
 // and fans twigs across all (or a named subset) of them with
 // QueryCorpus/RunCorpusBatch, k-way-merging the per-document answers into
 // a global top-k ranked by answer probability with per-document
@@ -33,7 +34,7 @@
 // (heterogeneous corpus): register extra pairs with Prepare and bind
 // documents to them with the four-argument AddDocument overload;
 // RemovePair unregisters one again. Top-k corpus queries run through the
-// bound-driven scheduler (corpus/corpus_executor.h): items are
+// bound-driven scheduler (shard/sharded_corpus_executor.h): items are
 // dispatched best-bound-first and skipped or aborted — exactly — once
 // the k-th answer provably beats them, and twig embeddings are shared
 // across pairs with a common target schema via the registry-wide
@@ -64,7 +65,6 @@
 #include "cache/result_cache.h"
 #include "common/status.h"
 #include "corpus/corpus_executor.h"
-#include "corpus/document_store.h"
 #include "exec/batch_executor.h"
 #include "shard/sharded_store.h"
 #include "mapping/top_h.h"
@@ -81,11 +81,10 @@ struct CacheOptions {
   /// — it holds no answers and its memory is bounded by its own
   /// generational entry cap (see cache/query_compiler.h).
   bool enable_result_cache = true;
-  /// Byte budget for cached answers, split evenly across shards; least
-  /// recently used entries are evicted beyond it.
+  /// Byte budget for cached answers, split evenly across the result
+  /// cache's mutex stripes; least recently used entries are evicted
+  /// beyond it.
   size_t max_result_bytes = size_t{64} << 20;
-  /// Mutex stripes of the result cache (clamped to >= 1).
-  int result_shards = 16;
   /// Master switch for the per-(twig, document) answer-bound cache the
   /// bounded corpus scheduler consults (cache/bound_cache.h). Off, every
   /// bounded run recomputes its probe bounds and forgets its realized
@@ -114,11 +113,11 @@ struct SystemOptions {
   PtqOptions ptq;
   CacheOptions cache;
   /// Corpus shard count for in-process scatter-gather corpus serving
-  /// (src/shard/): documents partition across this many per-shard
-  /// stores by stable name hash, and bounded corpus batches run one TA
-  /// scheduler per shard against shared per-twig thresholds. <= 0
-  /// selects DefaultShardCount() = 1 on every host, which disables
-  /// sharding (the single-scheduler path). Answers are bit-identical for
+  /// (src/shard/): documents partition into this many shards by stable
+  /// name hash, and bounded corpus batches run one TA scheduler per
+  /// shard against shared per-twig thresholds. <= 0 selects
+  /// DefaultShardCount() = 1 on every host, which disables sharding (one
+  /// scheduler, run on the caller thread). Answers are bit-identical for
   /// every value.
   int corpus_shards = 0;
 };
@@ -436,8 +435,8 @@ class UncertainMatchingSystem {
   std::shared_ptr<const PreparedSchemaPair> default_pair_;  // null until
                                                             // Prepare
   std::shared_ptr<const AnnotatedDocument> annotated_;  // null until Attach
-  /// Named corpus documents, partitioned across
-  /// SystemOptions::corpus_shards per-shard stores by stable name hash
+  /// Named corpus documents, partitioned into
+  /// SystemOptions::corpus_shards shards by stable name hash
   /// (src/shard/sharded_store.h). Internally synchronized, but every
   /// mutation additionally happens under state_mu_ so registration
   /// epochs and schema checks stay atomic with Prepare/AttachDocument.

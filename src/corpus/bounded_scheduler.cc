@@ -483,9 +483,9 @@ void FinalizeBoundedAnswers(const BoundedRunContext& ctx, int merge_k,
   answers->reserve(answers->size() + num_twigs);
   for (size_t t = 0; t < num_twigs; ++t) {
     TwigRace& race = *(*ctx.races)[t];
-    // Compile failures take precedence: the single scheduler never
-    // dispatches a twig whose bound phase failed, so only they are
-    // guaranteed observable under every schedule.
+    // Compile failures take precedence: a scheduler never dispatches a
+    // twig whose bound phase failed, so only they are guaranteed
+    // observable under every schedule.
     if (race.compile_doc < race.num_docs) {
       answers->push_back(race.compile_status);
       continue;

@@ -1,6 +1,7 @@
-// The bound-driven (Threshold-Algorithm) corpus scheduling engine, shared
-// by the single-scheduler path (corpus/corpus_executor.cc) and the
-// sharded scatter-gather coordinator (shard/sharded_corpus_executor.cc).
+// The bound-driven (Threshold-Algorithm) corpus scheduling engine behind
+// ShardedCorpusExecutor::Run (shard/sharded_corpus_executor.cc), which
+// runs one scheduler per non-empty shard — a single one, on the caller
+// thread, at S = 1.
 //
 // One TwigRace per twig holds the twig's global top-k tracker and its
 // atomic pruning threshold. Any number of schedulers may race one set of
@@ -32,15 +33,15 @@
 // is not. Debug builds re-evaluate every skipped document and certify it
 // (CertifyBoundedTopK).
 //
-// Failure discipline (matches the single-scheduler contract):
+// Failure discipline (the same for every shard count):
 //   * compile failures are deterministic per (twig, pair), so every
 //     scheduler whose slice contains a document of a failing pair
 //     observes the same failure; the twig's answer slot reports the
 //     status attributed to the smallest failing document index —
 //     independent of shard count.
 //   * evaluation failures record the smallest OBSERVED failing index;
-//     compile failures take precedence (the single scheduler never
-//     dispatches a twig whose bound phase failed).
+//     compile failures take precedence (a scheduler never dispatches a
+//     twig whose bound phase failed).
 //   * a failed twig stops dispatching everywhere: leftover items are
 //     charged to items_failed, keeping the per-scheduler report
 //     invariant items_total == evaluated + pruned + aborted + failed.
@@ -178,7 +179,7 @@ void AccumulateBatchReport(const BatchRunReport& wave, BatchRunReport* total);
 /// whose compilation succeeded. A compile failure marks the twig's race
 /// failed, records the slice's smallest failing index, charges the
 /// twig's whole slice to out->corpus.items_failed, and contributes no
-/// pool items (the single-scheduler contract).
+/// pool items.
 void BuildBoundedPool(const BoundedRunContext& ctx,
                       const std::vector<uint32_t>& docs,
                       std::vector<BoundedPoolItem>* pool,

@@ -1,6 +1,9 @@
-// Cross-document top-k PTQ execution. A corpus query fans one twig (or a
-// batch of twigs) across every document of a CorpusSnapshot on the shared
-// BatchQueryExecutor thread pool. Every item carries its document's
+// Cross-document top-k PTQ execution: the corpus query and report types,
+// the one corpus answer order, and the k-way merge. A corpus query fans
+// one twig (or a batch of twigs) across every document of a corpus
+// snapshot (shard/sharded_store.h) on the shared BatchQueryExecutor
+// thread pool; its one entry point is ShardedCorpusExecutor::Run
+// (shard/sharded_corpus_executor.h). Every item carries its document's
 // prepared pair, so one fan-out may span documents prepared under
 // DIFFERENT schema pairs (a heterogeneous corpus): each (twig, document)
 // evaluation compiles/plans the twig against that document's own pair and
@@ -10,7 +13,7 @@
 // tagged with the document it came from.
 //
 // Bound-driven scheduling (Threshold Algorithm over §IV-C bounds): when a
-// global top-k budget is set, the executor does NOT evaluate every
+// global top-k budget is set, the scheduler does NOT evaluate every
 // (twig, document) item. Each item gets an answer upper bound from two
 // sources, and the scheduler uses their min:
 //
@@ -77,11 +80,10 @@
 #include <string>
 #include <vector>
 
-#include "cache/bound_cache.h"
 #include "common/status.h"
-#include "corpus/document_store.h"
 #include "exec/batch_executor.h"
 #include "query/ptq.h"
+#include "shard/sharded_store.h"
 
 namespace uxm {
 
@@ -89,7 +91,7 @@ namespace uxm {
 /// document, with the total probability mass of the mappings that
 /// produced it.
 struct CorpusAnswer {
-  std::string document;  ///< provenance: DocumentStore name
+  std::string document;  ///< provenance: corpus document name
   double probability = 0.0;
   std::vector<DocNodeId> matches;  ///< non-empty, sorted, distinct
 };
@@ -123,7 +125,7 @@ struct CorpusQueryOptions {
   /// BM_ExhaustiveCorpusTopK benchmark pair compare against. The
   /// ANSWERS are identical either way; only the work differs — which
   /// also means an evaluation failure inside a document the scheduler
-  /// skipped is never observed (see CorpusExecutor::Run).
+  /// skipped is never observed (see ShardedCorpusExecutor::Run).
   bool bounded = true;
   /// Seed unknown (twig, document) bounds with the cheap match-existence
   /// probe over the document's annotation
@@ -235,22 +237,17 @@ struct CorpusBatchResponse {
   /// them.
   BatchRunReport report;
   CorpusRunReport corpus;
-  /// Per-shard scheduler reports when the batch ran through the sharded
-  /// scatter-gather path (shard/sharded_corpus_executor.h), in shard
-  /// index order — each shard's own evaluated/pruned/aborted/failed
-  /// split, summing field-by-field to `corpus`. Empty on the
-  /// single-scheduler path.
+  /// Per-shard scheduler reports of a bounded run over S >= 2 shards
+  /// (shard/sharded_corpus_executor.h), in shard index order — each
+  /// shard's own evaluated/pruned/aborted/failed split, summing
+  /// field-by-field to `corpus`. Empty at S = 1 and on the exhaustive
+  /// path.
   std::vector<CorpusRunReport> shard_reports;
   /// False iff any answer slot was budget-truncated — an OK slot with
   /// `exact == false`, or a kDeadlineExceeded failure under
   /// OnDeadline::kFail. A quick "was this batch the exact answer?" bit.
   bool exact = true;
 };
-
-/// Recomputes response->exact from its answer slots (see
-/// CorpusBatchResponse::exact). Shared by the single-scheduler and
-/// sharded paths.
-void StampResponseExact(CorpusBatchResponse* response);
 
 /// Global answer order: probability descending, then document name, then
 /// match list (both ascending) so equal-probability answers have one
@@ -335,7 +332,7 @@ std::vector<CorpusAnswer> CollapseForCorpus(const std::string& name,
 std::vector<CorpusAnswer> MergeTopK(
     const std::vector<std::vector<CorpusAnswer>>& per_document, int k);
 
-/// The corpus paths' merge: k-way-merges per-document ranked lists —
+/// The corpus runs' merge: k-way-merges per-document ranked lists —
 /// `ranked[d]` belongs to `docs[d]`, null for a document never evaluated
 /// — into the global top-k (`k <= 0` keeps all), attaching document names
 /// only to the answers it returns. Identical to MergeTopK over the
@@ -343,71 +340,6 @@ std::vector<CorpusAnswer> MergeTopK(
 std::vector<CorpusAnswer> MergeTopK(
     const std::vector<const CorpusDocument*>& docs,
     const std::vector<RankedAnswersPtr>& ranked, int k);
-
-/// Resolves a CorpusQueryOptions::documents filter against a name-sorted
-/// corpus snapshot: empty selects the whole corpus, unknown names fail
-/// with NotFound, duplicates collapse, and the result is name-sorted.
-/// Shared by the single-scheduler and sharded paths so both reject the
-/// same requests and fan out in the same canonical order.
-Result<std::vector<const CorpusDocument*>> ResolveCorpusSelection(
-    const CorpusSnapshot& corpus, const std::vector<std::string>& documents);
-
-/// \brief Fans twigs across a corpus on a BatchQueryExecutor.
-///
-/// The executor is borrowed, not owned: the facade hands in the same
-/// cached BatchQueryExecutor its RunBatch path uses, so corpus and
-/// single-document traffic share one thread pool and one set of caches.
-class CorpusExecutor {
- public:
-  /// `bound_cache` (optional, borrowed — normally the registry's, see
-  /// SchemaPairRegistry::bound_cache) supplies and receives the
-  /// per-(twig, document) bounds of the bounded scheduler; null disables
-  /// document-sensitive bound caching (probe bounds are then computed
-  /// per run and realized bounds are not remembered).
-  explicit CorpusExecutor(const BatchQueryExecutor* executor,
-                          BoundCache* bound_cache = nullptr)
-      : executor_(executor), bound_cache_(bound_cache) {}
-
-  /// Evaluates every twig against the corpus (or the options.documents
-  /// subset) — through the bound-driven scheduler when options.bounded
-  /// and options.top_k > 0, exhaustively otherwise — and merges per
-  /// twig. Per-twig failures (e.g. parse errors) error only their own
-  /// answer slot. Compile failures are detected before any dispatch and
-  /// fail the twig either way; EVALUATION failures are reported only
-  /// for items that actually evaluated — a document the bounded
-  /// scheduler pruned or aborted never ran, so a failure it would have
-  /// produced under the exhaustive path is legitimately never observed
-  /// (the answer-equality guarantee is unaffected: a skipped item
-  /// provably contributes no top-k answer). When `cache` is non-null,
-  /// each item is cached under its document's epoch.
-  Result<CorpusBatchResponse> Run(const CorpusSnapshot& corpus,
-                                  const std::vector<std::string>& twigs,
-                                  const CorpusQueryOptions& options,
-                                  const BatchCacheContext* cache) const;
-
- private:
-  /// The pre-PR-5 evaluate-everything path: one executor dispatch over
-  /// all twig x document items, then a per-twig merge of their ranked
-  /// lists.
-  Result<CorpusBatchResponse> RunExhaustive(
-      const std::vector<const CorpusDocument*>& selected,
-      const std::vector<std::string>& twigs,
-      const CorpusQueryOptions& options, const BatchCacheContext* cache) const;
-
-  /// The Threshold-Algorithm scheduler (see file comment): per-twig
-  /// bound phase (pair bound min'd with the cached/probed document
-  /// bound) -> ONE cross-twig pool sorted best-bound-first -> inline
-  /// result-cache hits plus dispatch waves of the misses, with per-twig
-  /// trackers/thresholds -> prune/abort/fail accounting -> per-twig
-  /// merge + debug certificate.
-  Result<CorpusBatchResponse> RunBounded(
-      const std::vector<const CorpusDocument*>& selected,
-      const std::vector<std::string>& twigs,
-      const CorpusQueryOptions& options, const BatchCacheContext* cache) const;
-
-  const BatchQueryExecutor* executor_;
-  BoundCache* bound_cache_;
-};
 
 }  // namespace uxm
 

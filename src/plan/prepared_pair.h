@@ -14,7 +14,7 @@
 // identity. Re-installing a pair for the same schemas replaces it (a new
 // pair_id makes old cached answers structurally unreachable); pairs for
 // other schemas are untouched, which is what lets one corpus span
-// documents prepared under different pairs (see corpus/document_store.h).
+// documents prepared under different pairs (see shard/sharded_store.h).
 #ifndef UXM_PLAN_PREPARED_PAIR_H_
 #define UXM_PLAN_PREPARED_PAIR_H_
 

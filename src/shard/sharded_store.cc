@@ -7,6 +7,29 @@
 
 namespace uxm {
 
+namespace {
+
+bool NameBelow(const CorpusDocument& entry, const std::string& name) {
+  return entry.name < name;
+}
+
+Status CheckEntry(const CorpusDocument& entry) {
+  if (entry.name.empty()) {
+    return Status::InvalidArgument("corpus document name must be non-empty");
+  }
+  if (entry.doc == nullptr || entry.annotated == nullptr) {
+    return Status::InvalidArgument(
+        "corpus document needs a document and its annotation");
+  }
+  if (entry.pair == nullptr) {
+    return Status::InvalidArgument(
+        "corpus document needs the prepared pair it is queried under");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 int DefaultShardCount() { return 1; }
 
 size_t ShardForDocument(const std::string& name, size_t num_shards) {
@@ -14,79 +37,134 @@ size_t ShardForDocument(const std::string& name, size_t num_shards) {
   return static_cast<size_t>(Fnv1a64(name.data(), name.size())) % num_shards;
 }
 
-ShardedDocumentStore::ShardedDocumentStore(int num_shards) {
-  const int count = num_shards > 0 ? num_shards : DefaultShardCount();
-  shards_.reserve(static_cast<size_t>(count));
-  for (int s = 0; s < count; ++s) {
-    shards_.push_back(std::make_unique<DocumentStore>());
-  }
-  Republish();
+ShardedDocumentStore::ShardedDocumentStore(int num_shards)
+    : num_shards_(static_cast<size_t>(num_shards > 0 ? num_shards
+                                                     : DefaultShardCount())) {
+  Publish(CorpusSnapshot{});
 }
 
-void ShardedDocumentStore::Republish() {
+void ShardedDocumentStore::Publish(CorpusSnapshot all) {
   auto next = std::make_shared<ShardedCorpusSnapshot>();
-  next->shards.reserve(shards_.size());
-  CorpusSnapshot all;
-  for (const auto& shard : shards_) {
-    std::shared_ptr<const CorpusSnapshot> view = shard->Snapshot();
-    all.insert(all.end(), view->begin(), view->end());
-    next->shards.push_back(std::move(view));
-  }
-  // Each shard view is already name-sorted; the merged view needs the
-  // same global order the unsharded store publishes (subset resolution
-  // bisects it, and merge tie-breaks ride on it).
-  std::sort(all.begin(), all.end(),
-            [](const CorpusDocument& a, const CorpusDocument& b) {
-              return a.name < b.name;
-            });
   next->all = std::make_shared<const CorpusSnapshot>(std::move(all));
+  if (num_shards_ == 1) {
+    next->shards.push_back(next->all);
+  } else {
+    // A stable partition of the sorted view keeps every shard view
+    // name-sorted too.
+    std::vector<CorpusSnapshot> views(num_shards_);
+    for (const CorpusDocument& entry : *next->all) {
+      views[ShardOf(entry.name)].push_back(entry);
+    }
+    next->shards.reserve(num_shards_);
+    for (CorpusSnapshot& view : views) {
+      next->shards.push_back(
+          std::make_shared<const CorpusSnapshot>(std::move(view)));
+    }
+  }
   snapshot_ = std::move(next);
 }
 
 Status ShardedDocumentStore::Add(CorpusDocument entry) {
+  std::vector<CorpusDocument> entries;
+  entries.push_back(std::move(entry));
+  return AddAll(std::move(entries));
+}
+
+Status ShardedDocumentStore::AddAll(std::vector<CorpusDocument> entries) {
+  for (const CorpusDocument& entry : entries) {
+    UXM_RETURN_NOT_OK(CheckEntry(entry));
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const CorpusDocument& a, const CorpusDocument& b) {
+              return a.name < b.name;
+            });
+  for (size_t i = 1; i < entries.size(); ++i) {
+    if (entries[i - 1].name == entries[i].name) {
+      return Status::AlreadyExists("corpus registration names document '" +
+                                   entries[i].name + "' twice");
+    }
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  UXM_RETURN_NOT_OK(shards_[ShardOf(entry.name)]->Add(std::move(entry)));
-  Republish();
+  // One pass over the live view: each (sorted) new entry bisects the
+  // rest of it, and the gaps between insertion points are copied once.
+  const CorpusSnapshot& live = *snapshot_->all;
+  CorpusSnapshot next;
+  next.reserve(live.size() + entries.size());
+  auto cursor = live.begin();
+  for (CorpusDocument& entry : entries) {
+    const auto at = std::lower_bound(cursor, live.end(), entry.name, NameBelow);
+    if (at != live.end() && at->name == entry.name) {
+      return Status::AlreadyExists("corpus already has a document named '" +
+                                   entry.name + "'");
+    }
+    next.insert(next.end(), cursor, at);
+    next.push_back(std::move(entry));
+    cursor = at;
+  }
+  next.insert(next.end(), cursor, live.end());
+  Publish(std::move(next));
   return Status::OK();
 }
 
 Status ShardedDocumentStore::Remove(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  UXM_RETURN_NOT_OK(shards_[ShardOf(name)]->Remove(name));
-  Republish();
+  const CorpusSnapshot& live = *snapshot_->all;
+  const auto at = std::lower_bound(live.begin(), live.end(), name, NameBelow);
+  if (at == live.end() || at->name != name) {
+    return Status::NotFound("no corpus document named '" + name + "'");
+  }
+  CorpusSnapshot next;
+  next.reserve(live.size() - 1);
+  next.insert(next.end(), live.begin(), at);
+  next.insert(next.end(), at + 1, live.end());
+  Publish(std::move(next));
   return Status::OK();
 }
 
 int ShardedDocumentStore::RebindPair(
     const std::shared_ptr<const PreparedSchemaPair>& pair, uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mu_);
+  CorpusSnapshot next = *snapshot_->all;
   int rebound = 0;
-  for (const auto& shard : shards_) rebound += shard->RebindPair(pair, epoch);
-  Republish();
+  for (CorpusDocument& entry : next) {
+    if (entry.pair->source() != pair->source() ||
+        entry.pair->target() != pair->target()) {
+      continue;
+    }
+    entry.pair = pair;
+    entry.epoch = epoch;
+    ++rebound;
+  }
+  if (rebound > 0) Publish(std::move(next));
   return rebound;
 }
 
 int ShardedDocumentStore::RemovePairDocuments(const Schema* source,
                                               const Schema* target) {
   std::lock_guard<std::mutex> lock(mu_);
-  int dropped = 0;
-  for (const auto& shard : shards_) {
-    dropped += shard->RemovePairDocuments(source, target);
+  const CorpusSnapshot& live = *snapshot_->all;
+  CorpusSnapshot next;
+  next.reserve(live.size());
+  for (const CorpusDocument& entry : live) {
+    if (entry.pair->source() != source || entry.pair->target() != target) {
+      next.push_back(entry);
+    }
   }
-  if (dropped > 0) Republish();
+  const int dropped = static_cast<int>(live.size() - next.size());
+  if (dropped > 0) Publish(std::move(next));
   return dropped;
 }
 
 void ShardedDocumentStore::Restamp(uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& shard : shards_) shard->Restamp(epoch);
-  Republish();
+  CorpusSnapshot next = *snapshot_->all;
+  for (CorpusDocument& entry : next) entry.epoch = epoch;
+  Publish(std::move(next));
 }
 
 void ShardedDocumentStore::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& shard : shards_) shard->Clear();
-  Republish();
+  Publish(CorpusSnapshot{});
 }
 
 std::shared_ptr<const ShardedCorpusSnapshot> ShardedDocumentStore::Snapshot()

@@ -1,35 +1,75 @@
-// Sharded corpus registry — the partitioning half of in-process sharded
-// corpus serving (ROADMAP item 2).
+// The corpus registry. The paper evaluates a PTQ against one
+// uncertain-schema document at a time; a production deployment holds a
+// *corpus* of named documents and asks which documents (and which answers
+// within them) best match a twig. The store maps names to documents
+// annotated once against the source schema of THEIR prepared pair, each
+// stamped with the epoch under which its cached answers are valid.
+// Because every entry carries its own pair, one corpus may span documents
+// prepared under different (source, target) schema pairs — a
+// heterogeneous corpus — and a corpus query fans one twig across all of
+// them.
 //
-// A shard IS a DocumentStore: the ShardedDocumentStore routes every
-// registration to one of S inner stores by a stable hash of the document
-// NAME (never of registration order, corpus size, or pointer identity),
-// so the same corpus always partitions the same way — across runs,
-// across processes, and across snapshot save/load. That stability is
-// what makes per-shard snapshot export a replica-bootstrap path: a
-// replica that loads shard s's snapshot holds exactly the documents any
-// coordinator would route to shard s.
+// Concurrency: the registry is published as an immutable snapshot behind
+// a shared_ptr — every mutation builds the next name-sorted vector and
+// swaps it in, so corpus queries grab one pointer and iterate without
+// locks, and corpus mutation can race in-flight corpus queries safely
+// (the same discipline the facade uses for its PreparedState). A removed
+// document's annotation stays alive until the last in-flight query that
+// snapshotted it finishes.
 //
-// Every mutation republishes one immutable ShardedCorpusSnapshot: the
-// merged name-sorted view (what subset resolution, answer merging, and
-// SaveSnapshot run against — identical to the unsharded CorpusSnapshot)
-// plus the S per-shard name-sorted views the per-shard schedulers fan
-// out over. Both views share the same CorpusDocument entries, so a
-// snapshot costs S+1 vectors of shared_ptr-sized records, not document
-// copies, and readers grab one shared_ptr and never block a mutation
-// (the same discipline as DocumentStore).
+// Epoch discipline: every entry carries the facade epoch assigned when it
+// was (re)installed. Result-cache keys include that per-document epoch,
+// so re-adding a document or re-preparing the system makes every answer
+// cached under the old epoch structurally unreachable — no eager cache
+// sweep is ever needed for corpus membership changes.
+//
+// Sharding (in-process scatter-gather, shard/sharded_corpus_executor.h):
+// every document belongs to one of S shards by a stable hash of its NAME
+// (never of registration order, corpus size, or pointer identity), so the
+// same corpus always partitions the same way — across runs, across
+// processes, and across snapshot save/load. That stability is what makes
+// per-shard snapshot export a replica-bootstrap path: a replica that
+// loads shard s's snapshot holds exactly the documents any coordinator
+// would route to shard s.
+//
+// The store keeps ONE name-sorted vector. A mutation binary-searches and
+// copies it once (no sort), then derives the S per-shard views from it
+// and publishes all of them as one ShardedCorpusSnapshot. A view entry is
+// a name and shared pointers, never a copy of a document or annotation;
+// at S = 1 the one shard view IS the merged view, so a write copies one
+// vector.
 #ifndef UXM_SHARD_SHARDED_STORE_H_
 #define UXM_SHARD_SHARDED_STORE_H_
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "corpus/document_store.h"
+#include "plan/prepared_pair.h"
+#include "query/annotated_document.h"
+#include "xml/document.h"
+#include "xml/schema.h"
 
 namespace uxm {
+
+/// \brief One registered corpus member: a named document annotated against
+/// its pair's source schema, plus the epoch its cached answers live
+/// under.
+struct CorpusDocument {
+  std::string name;
+  const Document* doc = nullptr;  ///< must outlive its registration
+  std::shared_ptr<const AnnotatedDocument> annotated;
+  uint64_t epoch = 0;  ///< result-cache epoch for this registration
+  /// The prepared pair this document is queried under; its source schema
+  /// is the one `annotated` is bound to.
+  std::shared_ptr<const PreparedSchemaPair> pair;
+};
+
+/// \brief An immutable view of the corpus at one instant, sorted by name.
+using CorpusSnapshot = std::vector<CorpusDocument>;
 
 /// Default shard count: 1, on every host. A shard layout is a property of
 /// the serving state, not of the machine: with a host-derived default
@@ -48,19 +88,19 @@ size_t ShardForDocument(const std::string& name, size_t num_shards);
 ///
 /// Invariant: `shards` partition `*all` — disjoint, union-equal, every
 /// document in shard ShardForDocument(name, shards.size()) — and each
-/// view is name-sorted. Pinned by tests/shard_test.cc.
+/// view is name-sorted. At S = 1, `shards[0]` is `all` itself. Pinned by
+/// tests/shard_test.cc.
 struct ShardedCorpusSnapshot {
   std::shared_ptr<const CorpusSnapshot> all;
   std::vector<std::shared_ptr<const CorpusSnapshot>> shards;
 };
 
 /// \brief Thread-safe registry of named annotated documents, partitioned
-/// into S DocumentStores by name hash.
+/// into S shards by name hash.
 ///
-/// API mirrors DocumentStore (the facade swaps one for the other); the
-/// pair-wide operations fan out over every shard. Internally
-/// synchronized, but the facade additionally serializes mutations with
-/// its state lock so epoch assignment stays atomic with Prepare.
+/// Internally synchronized, but the facade additionally serializes all
+/// mutations with its state lock so epoch assignment and schema checks
+/// stay atomic with respect to Prepare/AttachDocument.
 class ShardedDocumentStore {
  public:
   /// `num_shards` <= 0 selects DefaultShardCount(). The count is fixed
@@ -71,52 +111,67 @@ class ShardedDocumentStore {
   ShardedDocumentStore(const ShardedDocumentStore&) = delete;
   ShardedDocumentStore& operator=(const ShardedDocumentStore&) = delete;
 
-  size_t num_shards() const { return shards_.size(); }
+  size_t num_shards() const { return num_shards_; }
 
   /// The shard `name` is (or would be) stored in.
   size_t ShardOf(const std::string& name) const {
-    return ShardForDocument(name, shards_.size());
+    return ShardForDocument(name, num_shards_);
   }
 
-  /// Registers `entry` in its name's shard. AlreadyExists if the name is
+  /// Registers `entry` under its name. AlreadyExists if the name is
   /// taken (names are globally unique: one name always maps to one
-  /// shard); InvalidArgument per DocumentStore::Add.
+  /// shard); InvalidArgument on an empty name, missing document or
+  /// annotation, or missing pair.
   Status Add(CorpusDocument entry);
 
-  /// Unregisters `name` from its shard. NotFound if absent.
+  /// Registers every entry of `entries` with one publish, all or
+  /// nothing: the first rejected entry (per Add — a name already
+  /// registered, or one that appears twice in `entries`) fails the call
+  /// and the published corpus is left unchanged.
+  Status AddAll(std::vector<CorpusDocument> entries);
+
+  /// Unregisters `name`. NotFound if absent. In-flight queries holding an
+  /// older snapshot finish against it; queries snapshotting after this
+  /// returns can never see the document.
   Status Remove(const std::string& name);
 
-  /// Re-binds every entry of `pair`'s (source, target) key to the new
-  /// incarnation across all shards (see DocumentStore::RebindPair).
-  /// Returns the number of entries re-bound.
+  /// Reconciles the corpus with a re-prepared pair: entries whose pair
+  /// relates the same (source, target) schemas are re-bound to the new
+  /// incarnation and re-stamped with `epoch` (their annotations stay
+  /// valid — they depend only on the source schema, which is identical by
+  /// key). Entries of other pairs are untouched. Returns the number of
+  /// entries re-bound.
   int RebindPair(const std::shared_ptr<const PreparedSchemaPair>& pair,
                  uint64_t epoch);
 
-  /// Drops every entry registered under the pair for (source, target)
-  /// across all shards. Returns the number of entries dropped.
+  /// Drops every entry registered under the pair for (source, target) —
+  /// the corpus half of unregistering a schema pair. In-flight queries
+  /// holding an older snapshot finish against it. Returns the number of
+  /// entries dropped.
   int RemovePairDocuments(const Schema* source, const Schema* target);
 
-  /// Re-stamps every entry of every shard with `epoch`.
+  /// Re-stamps every entry with `epoch` (full corpus invalidation: any
+  /// in-flight insert keyed under a pre-bump epoch becomes unreachable).
   void Restamp(uint64_t epoch);
 
-  /// Drops every entry of every shard.
+  /// Drops every entry.
   void Clear();
 
   /// The current corpus view. Never null; `all` and all S `shards`
   /// entries are non-null (empty vectors when nothing is registered).
   std::shared_ptr<const ShardedCorpusSnapshot> Snapshot() const;
 
-  /// Registered document count / names (sorted), over all shards.
+  /// Registered document count / names (sorted ascending).
   size_t size() const;
   std::vector<std::string> Names() const;
 
  private:
-  /// Rebuilds the published snapshot from the shard stores. Caller holds
-  /// mu_ (so the S per-shard captures form one consistent instant).
-  void Republish();
+  /// Publishes `all` (name-sorted) and the shard views derived from it
+  /// as the current snapshot. Caller holds mu_.
+  void Publish(CorpusSnapshot all);
 
+  const size_t num_shards_;
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<DocumentStore>> shards_;
   std::shared_ptr<const ShardedCorpusSnapshot> snapshot_;
 };
 

@@ -517,7 +517,7 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
           !r.AtEnd()) {
         return Damaged(*e, "malformed doc meta record");
       }
-      // DocumentStore rejects empty names; catch it here so the facade's
+      // The corpus store rejects empty names; catch it here so the facade's
       // all-or-nothing load never fails mid-install.
       if (doc.name.empty()) {
         return Damaged(*e, "has an empty document name");

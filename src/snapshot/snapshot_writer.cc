@@ -195,7 +195,7 @@ Result<SnapshotWriteResult> WriteSnapshot(const std::string& path,
                                      " has null doc/annotation");
     }
     if (doc.name.empty()) {
-      // The loader (and DocumentStore) reject empty names; refuse to
+      // The loader (and the corpus store) reject empty names; refuse to
       // emit a file that can never load.
       return Status::InvalidArgument("document " + std::to_string(i) +
                                      " has an empty name");

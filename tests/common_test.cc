@@ -109,17 +109,6 @@ TEST(RngTest, GaussianMoments) {
   EXPECT_NEAR(var, 9.0, 0.5);
 }
 
-TEST(RngTest, ZipfSkewsTowardSmallValues) {
-  Rng rng(19);
-  int low = 0;
-  for (int i = 0; i < 2000; ++i) {
-    const uint64_t v = rng.Zipf(100, 1.1);
-    EXPECT_LT(v, 100u);
-    if (v < 10) ++low;
-  }
-  EXPECT_GT(low, 1000);  // heavy head
-}
-
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(23);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7};

@@ -19,6 +19,7 @@
 #include "core/system.h"
 #include "corpus/corpus_executor.h"
 #include "plan/driver.h"
+#include "shard/sharded_corpus_executor.h"
 #include "test_util.h"
 #include "workload/corpus_generator.h"
 
@@ -298,7 +299,10 @@ TEST(CorpusHitPathCacheTest, CorpusRunsMergeTheCachedRankedLists) {
                  std::make_shared<const RankedPtqResult>(fabricated[d]));
   }
   BatchCacheContext ctx{&cache, /*epoch=*/1};
-  CorpusExecutor corpus_exec(&executor);
+  ShardedCorpusSnapshot one_shard;
+  one_shard.all = std::make_shared<const CorpusSnapshot>(corpus);
+  one_shard.shards = {one_shard.all};
+  ShardedCorpusExecutor corpus_exec(&executor);
   for (const bool bounded : {true, false}) {
     for (const int k : {2, 4, 0}) {
       CorpusQueryOptions options;
@@ -306,7 +310,7 @@ TEST(CorpusHitPathCacheTest, CorpusRunsMergeTheCachedRankedLists) {
       options.bounded = bounded;
       const std::string label = "bounded=" + std::to_string(bounded) +
                                 " k=" + std::to_string(k);
-      auto got = corpus_exec.Run(corpus, {twig}, options, &ctx);
+      auto got = corpus_exec.Run(one_shard, {twig}, options, &ctx);
       ASSERT_TRUE(got.ok()) << label;
       ASSERT_TRUE(got->answers[0].ok()) << label;
       EXPECT_EQ(got->corpus.dispatches, bounded && k > 0 ? 0 : 1) << label;

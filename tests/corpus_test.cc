@@ -1,4 +1,4 @@
-// Corpus subsystem tests: DocumentStore registration semantics, the
+// Corpus subsystem tests: corpus store registration semantics, the
 // cross-document top-k merge, and the facade corpus API — including the
 // acceptance property that QueryCorpus over N generated documents equals
 // the brute-force merge of per-document Query results.
@@ -13,7 +13,8 @@
 
 #include "core/system.h"
 #include "corpus/corpus_executor.h"
-#include "corpus/document_store.h"
+#include "shard/sharded_corpus_executor.h"
+#include "shard/sharded_store.h"
 #include "test_util.h"
 #include "workload/corpus_generator.h"
 #include "workload/datasets.h"
@@ -49,7 +50,7 @@ class DocumentStoreTest : public ::testing::Test {
 };
 
 TEST_F(DocumentStoreTest, AddRemoveAndNames) {
-  DocumentStore store;
+  ShardedDocumentStore store(1);
   EXPECT_EQ(store.size(), 0u);
   ASSERT_TRUE(store.Add(Entry("b")).ok());
   ASSERT_TRUE(store.Add(Entry("a")).ok());
@@ -64,7 +65,7 @@ TEST_F(DocumentStoreTest, AddRemoveAndNames) {
 }
 
 TEST_F(DocumentStoreTest, RejectsDuplicatesAndBadEntries) {
-  DocumentStore store;
+  ShardedDocumentStore store(1);
   ASSERT_TRUE(store.Add(Entry("a")).ok());
   EXPECT_EQ(store.Add(Entry("a")).code(), StatusCode::kAlreadyExists);
   EXPECT_TRUE(store.Add(Entry("")).IsInvalidArgument());
@@ -78,21 +79,21 @@ TEST_F(DocumentStoreTest, RejectsDuplicatesAndBadEntries) {
 }
 
 TEST_F(DocumentStoreTest, SnapshotsAreImmutableViews) {
-  DocumentStore store;
+  ShardedDocumentStore store(1);
   ASSERT_TRUE(store.Add(Entry("a")).ok());
-  auto before = store.Snapshot();
+  auto before = store.Snapshot()->all;
   ASSERT_TRUE(store.Add(Entry("b")).ok());
   ASSERT_TRUE(store.Remove("a").ok());
   // The earlier snapshot still sees exactly the corpus of its instant.
   ASSERT_EQ(before->size(), 1u);
   EXPECT_EQ((*before)[0].name, "a");
-  auto after = store.Snapshot();
+  auto after = store.Snapshot()->all;
   ASSERT_EQ(after->size(), 1u);
   EXPECT_EQ((*after)[0].name, "b");
 }
 
 TEST_F(DocumentStoreTest, RebindPairSwapsIncarnationsAndRestamps) {
-  DocumentStore store;
+  ShardedDocumentStore store(1);
   ASSERT_TRUE(store.Add(Entry("a", 5)).ok());
   ASSERT_TRUE(store.Add(Entry("b", 5)).ok());
   // A new incarnation of the same (source, target) pair: every entry of
@@ -100,19 +101,19 @@ TEST_F(DocumentStoreTest, RebindPairSwapsIncarnationsAndRestamps) {
   auto reprepared = testutil::MakePaperPair(example_);
   ASSERT_NE(reprepared->pair_id, pair_->pair_id);
   EXPECT_EQ(store.RebindPair(reprepared, 9), 2);
-  for (const CorpusDocument& e : *store.Snapshot()) {
+  for (const CorpusDocument& e : *store.Snapshot()->all) {
     EXPECT_EQ(e.epoch, 9u);
     EXPECT_EQ(e.pair.get(), reprepared.get());
   }
   // A pair over different schemas touches nothing.
   PaperExample other = MakePaperExample();
   EXPECT_EQ(store.RebindPair(testutil::MakePaperPair(other), 11), 0);
-  for (const CorpusDocument& e : *store.Snapshot()) {
+  for (const CorpusDocument& e : *store.Snapshot()->all) {
     EXPECT_EQ(e.epoch, 9u);
   }
   // Restamp stamps every entry regardless of pair.
   store.Restamp(12);
-  for (const CorpusDocument& e : *store.Snapshot()) {
+  for (const CorpusDocument& e : *store.Snapshot()->all) {
     EXPECT_EQ(e.epoch, 12u);
   }
 }
@@ -1025,6 +1026,49 @@ TEST_F(SinglePairCorpusTest,
   }
 }
 
+// A one-document selection takes the same bounded path at every shard
+// count: at S = 2 and 4 its lone non-empty slice runs on the caller
+// thread, every shard still reports, and the answers equal S = 1's.
+TEST_F(SinglePairCorpusTest,
+       ShardedOneDocumentSelectionMatchesSingleScheduler) {
+  const std::vector<std::string> twigs = {scenario_->probe_twig,
+                                          scenario_->deep_probe_twig};
+  // A hot document (answers) and a cold one (dust-route answers only).
+  for (const std::string& name :
+       {scenario_->names.front(), scenario_->names.back()}) {
+    SCOPED_TRACE(name);
+    CorpusQueryOptions bounded;
+    bounded.top_k = 5;
+    bounded.documents = {name};
+    auto single = MakeSystem(/*bound_cache=*/true, /*shards=*/1)
+                      ->RunCorpusBatch(twigs, bounded, OneThread());
+    ASSERT_TRUE(single.ok()) << single.status();
+    ASSERT_TRUE(single->answers[0].ok()) << single->answers[0].status();
+    ASSERT_TRUE(single->answers[1].ok()) << single->answers[1].status();
+    EXPECT_TRUE(single->shard_reports.empty());
+    ExpectItemInvariant(single->corpus);
+    EXPECT_EQ(single->corpus.items_total, 2);
+    for (const int shards : kShardCounts) {
+      SCOPED_TRACE("shards=" + std::to_string(shards));
+      auto b = MakeSystem(/*bound_cache=*/true, shards)
+                   ->RunCorpusBatch(twigs, bounded, OneThread());
+      ASSERT_TRUE(b.ok()) << b.status();
+      ASSERT_TRUE(b->answers[0].ok()) << b->answers[0].status();
+      ASSERT_TRUE(b->answers[1].ok()) << b->answers[1].status();
+      ExpectItemInvariant(b->corpus);
+      EXPECT_EQ(b->corpus.items_total, 2);
+      ExpectShardSums(*b, shards);
+      int populated = 0;
+      for (const CorpusRunReport& shard : b->shard_reports) {
+        populated += shard.items_total > 0 ? 1 : 0;
+      }
+      EXPECT_EQ(populated, 1);
+      ExpectSameAnswers(b->answers[0]->answers, single->answers[0]->answers);
+      ExpectSameAnswers(b->answers[1]->answers, single->answers[1]->answers);
+    }
+  }
+}
+
 TEST(BoundedCorpusTest, ShardedSkewedCorpusMatchesSingleScheduler) {
   SkewedCorpusOptions gen;
   gen.hot_documents = 2;
@@ -1104,14 +1148,18 @@ TEST(BoundedCorpusTest, MidWaveFailureChargesRemainingItemsAsFailed) {
         CorpusDocument{name, example.doc.get(), annotated, 1, pair});
   }
 
+  ShardedCorpusSnapshot one_shard;
+  one_shard.all = std::make_shared<const CorpusSnapshot>(std::move(corpus));
+  one_shard.shards = {one_shard.all};
+
   BatchExecutorOptions exec_opts;
   exec_opts.num_threads = 1;
   BatchQueryExecutor executor(exec_opts);
-  CorpusExecutor corpus_exec(&executor);
+  ShardedCorpusExecutor corpus_exec(&executor);
   CorpusQueryOptions bounded;
   bounded.top_k = 1;
   auto response =
-      corpus_exec.Run(corpus, {"//IP//ICN"}, bounded, /*cache=*/nullptr);
+      corpus_exec.Run(one_shard, {"//IP//ICN"}, bounded, /*cache=*/nullptr);
   ASSERT_TRUE(response.ok()) << response.status();
   ASSERT_EQ(response->answers.size(), 1u);
   EXPECT_TRUE(response->answers[0].status().IsInvalidArgument());

@@ -165,6 +165,81 @@ TEST_F(ShardedStoreTest, PairWideOperationsFanOutOverEveryShard) {
   ExpectPartitionInvariant(*store.Snapshot());
 }
 
+TEST_F(ShardedStoreTest, EveryShardCountPublishesTheSameMergedView) {
+  ShardedDocumentStore one(1);
+  ShardedDocumentStore four(4);
+  // At S = 1 the one shard view IS the merged view, after every publish.
+  auto expect_shared_view = [&one] {
+    const auto snap = one.Snapshot();
+    ASSERT_EQ(snap->shards.size(), 1u);
+    EXPECT_EQ(snap->shards[0].get(), snap->all.get());
+  };
+  expect_shared_view();
+
+  PaperExample other = MakePaperExample();
+  const auto other_pair = testutil::MakePaperPair(other);
+  const auto reprepared = testutil::MakePaperPair(example_);
+  for (ShardedDocumentStore* store : {&one, &four}) {
+    uint64_t epoch = 1;
+    for (const std::string name : {"m", "c", "x", "a", "doc-1", "doc-0"}) {
+      ASSERT_TRUE(store->Add(Entry(name, epoch++)).ok()) << name;
+    }
+    for (const std::string name : {"o-1", "o-0"}) {
+      CorpusDocument entry = Entry(name, epoch++);
+      entry.pair = other_pair;
+      ASSERT_TRUE(store->Add(std::move(entry)).ok()) << name;
+    }
+    ASSERT_TRUE(store->Remove("x").ok());
+    EXPECT_EQ(store->RebindPair(reprepared, 20), 5);
+    store->Restamp(21);
+    ASSERT_TRUE(store->Add(Entry("b", 22)).ok());
+    EXPECT_EQ(store->RemovePairDocuments(other.source.get(),
+                                         other.target.get()),
+              2);
+    ASSERT_TRUE(store->Add(Entry("z", 23)).ok());
+    ExpectPartitionInvariant(*store->Snapshot());
+  }
+  expect_shared_view();
+
+  const CorpusSnapshot& a = *one.Snapshot()->all;
+  const CorpusSnapshot& b = *four.Snapshot()->all;
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].name, b[i].name) << i;
+    EXPECT_EQ(a[i].doc, b[i].doc) << i;
+    EXPECT_EQ(a[i].annotated, b[i].annotated) << i;
+    EXPECT_EQ(a[i].epoch, b[i].epoch) << i;
+    EXPECT_EQ(a[i].pair, b[i].pair) << i;
+  }
+}
+
+TEST_F(ShardedStoreTest, AddAllRegistersAllOrNothing) {
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedDocumentStore store(shards);
+    ASSERT_TRUE(store.Add(Entry("b")).ok());
+    std::vector<CorpusDocument> batch;
+    for (const std::string name : {"d", "a", "c"}) batch.push_back(Entry(name));
+    ASSERT_TRUE(store.AddAll(std::move(batch)).ok());
+    EXPECT_EQ(store.Names(), (std::vector<std::string>{"a", "b", "c", "d"}));
+    ExpectPartitionInvariant(*store.Snapshot());
+
+    // A rejected batch publishes nothing: the snapshot pointer survives.
+    const auto published = store.Snapshot();
+    auto expect_rejected = [&](std::vector<std::string> names,
+                               StatusCode code) {
+      std::vector<CorpusDocument> entries;
+      for (const std::string& name : names) entries.push_back(Entry(name));
+      EXPECT_EQ(store.AddAll(std::move(entries)).code(), code);
+      EXPECT_EQ(store.Snapshot(), published);
+    };
+    expect_rejected({"e", "b"}, StatusCode::kAlreadyExists);  // live name
+    expect_rejected({"f", "g", "f"}, StatusCode::kAlreadyExists);  // in-batch
+    expect_rejected({"h", ""}, StatusCode::kInvalidArgument);
+    EXPECT_EQ(store.size(), 4u);
+  }
+}
+
 // -------------------------------------------------------------- facade
 
 class ShardedFacadeTest : public ::testing::Test {

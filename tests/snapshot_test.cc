@@ -279,7 +279,7 @@ TEST_F(SnapshotTest, WriterRejectsOutOfRangeDefaultPair) {
 }
 
 TEST_F(SnapshotTest, LoaderRejectsEmptyDocName) {
-  // DocumentStore::Add rejects empty names; the loader must catch one
+  // ShardedDocumentStore::Add rejects empty names; the loader must catch one
   // during validation (before any system state is touched), not let the
   // facade fail mid-install and violate the all-or-nothing contract.
   UncertainMatchingSystem sys(Options());
