@@ -19,9 +19,11 @@
 #include "exec/batch_executor.h"
 #include "exec/thread_pool.h"
 #include "plan/driver.h"
+#include "plan/query_plan.h"
 #include "query/ptq.h"
 #include "query/structural_join.h"
 #include "workload/corpus_generator.h"
+#include "workload/document_generator.h"
 
 namespace uxm {
 namespace {
@@ -849,6 +851,70 @@ void BM_QueryCompile(benchmark::State& state) {
   state.SetLabel(hot ? "hot" : "cold");
 }
 BENCHMARK(BM_QueryCompile)->Arg(0)->Arg(1);
+
+// The corpus bound phase's document probe
+// (QueryPlan::DocumentAnswerUpperBound) on the D7 pair: one plan for a
+// cold twig (Table III's Q5 with child edges widened to '//' and an
+// equality predicate on the leaf, the shape of uxmbench's topk_cold
+// twigs) probes 256 generated documents, all relevant mappings selected;
+// most of them are proven empty (`proven_empty`). Arg(0) builds a
+// fresh plan every iteration, so each iteration also compiles the probe —
+// what a never-repeated twig pays; Arg(1) reuses one plan, leaving the
+// per-document cost. Informational: no gate reads it.
+void BM_DocumentBoundProbe(benchmark::State& state) {
+  struct Corpus {
+    bench::Env env = bench::MakeEnv("D7", 100);
+    std::shared_ptr<const PreparedSchemaPair> pair = bench::MakePair(env);
+    std::vector<std::shared_ptr<Document>> docs;
+    std::vector<std::unique_ptr<AnnotatedDocument>> annotated;
+  };
+  static Corpus* corpus = [] {
+    auto* c = new Corpus;
+    for (int i = 0; i < 256; ++i) {
+      // Every optional element, none, or about half of them.
+      DocGenOptions gen;
+      gen.seed = 1000 + static_cast<uint64_t>(i);
+      gen.optional_prob = 0.5 * (i % 3);
+      c->docs.push_back(std::make_shared<Document>(
+          GenerateDocument(*c->env.dataset.source, gen)));
+      auto ad = AnnotatedDocument::Bind(c->docs.back().get(),
+                                        c->env.dataset.source.get());
+      UXM_CHECK_MSG(ad.ok(), ad.status().ToString());
+      c->annotated.push_back(
+          std::make_unique<AnnotatedDocument>(std::move(ad).ValueOrDie()));
+    }
+    return c;
+  }();
+  const std::string twig =
+      "//Order//POLine[.//LineNo][.//UnitPrice]//Quantity=\"42\"";
+  auto compiled = corpus->pair->compiler->Compile(twig);
+  UXM_CHECK_MSG(compiled.ok(), compiled.status().ToString());
+  const QueryPlan& warm = **compiled;
+  const auto embeddings = std::make_shared<const QueryEmbeddings>(
+      QueryEmbeddings{warm.embeddings(), warm.truncated_embeddings()});
+  const bool fresh = state.range(0) == 0;
+  int proven_empty = 0;
+  for (auto _ : state) {
+    std::unique_ptr<QueryPlan> cold;
+    if (fresh) {
+      cold = std::make_unique<QueryPlan>(&corpus->pair->flat->mappings,
+                                         corpus->pair->order, warm.query(),
+                                         embeddings);
+    }
+    const QueryPlan& plan = fresh ? *cold : warm;
+    proven_empty = 0;
+    for (const auto& doc : corpus->annotated) {
+      const double bound = plan.DocumentAnswerUpperBound(0, *doc);
+      proven_empty += bound == kProvenEmptyBound ? 1 : 0;
+      benchmark::DoNotOptimize(bound);
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(corpus->annotated.size()));
+  state.counters["proven_empty"] = proven_empty;
+  state.SetLabel(fresh ? "fresh plan" : "warm plan");
+}
+BENCHMARK(BM_DocumentBoundProbe)->Arg(0)->Arg(1);
 
 // Pool overhead floor: how fast the pool can push trivial tasks through
 // ParallelFor. Keeps scheduling regressions visible independently of

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <mutex>
 
+#include "plan/query_plan.h"
+
 namespace uxm {
 
 namespace {
@@ -32,7 +34,7 @@ std::optional<double> BoundCache::Lookup(const ItemKeyRef& key) const {
 }
 
 void BoundCache::Insert(const ItemKeyRef& key, double bound) {
-  bound = std::max(bound, 0.0);
+  if (bound != kProvenEmptyBound) bound = std::max(bound, 0.0);
   const size_t hash = key.Hash();
   insertions_.fetch_add(1, std::memory_order_relaxed);
   std::unique_lock<std::shared_mutex> lock(mu_);

@@ -8,16 +8,23 @@
 // sources, and the scheduler prunes against min(pair_bound, doc_bound):
 //
 //   * realized bounds — after an item evaluates, its best collapsed
-//     answer probability (0 for an empty answer set) is recorded.
-//     Evaluation is deterministic in the full key below, so the realized
-//     value is an EXACT bound for any later run with the same key.
+//     answer probability is recorded, or kProvenEmptyBound
+//     (plan/query_plan.h) for an empty answer set. Evaluation is
+//     deterministic in the full key below, so the realized value is an
+//     EXACT bound for any later run with the same key.
 //   * probe bounds — QueryPlan::DocumentAnswerUpperBound sums only the
 //     selected relevant mappings that have at least one embedding whose
 //     every query node binds to a source element with a matching
 //     instance in the document's annotation. A mapping without such an
 //     embedding provably contributes no answer (an empty candidate list
 //     propagates to the twig root in both kernels), so the sum bounds
-//     every answer the item can produce.
+//     every answer the item can produce. When no selected mapping may
+//     match, the probe returns kProvenEmptyBound instead of a sum.
+//
+// kProvenEmptyBound is a proof that the item has no answer. It lies
+// below every race threshold, so the scheduler prunes such an item before
+// dispatch even while its twig's top-k is unfilled; Insert stores it as
+// is (the min with any stored bound is the sentinel).
 //
 // Insert keeps the MINIMUM of the stored and offered values: both
 // sources are sound upper bounds, so their min is too (the realized
@@ -82,8 +89,8 @@ class BoundCache {
 
   /// Records `bound` for `key`, keeping the MIN with any stored value
   /// (every inserted bound must itself be sound, so the tighter one
-  /// wins). Negative bounds are clamped to 0 — no answer probability is
-  /// below it, and the scheduler's threshold sentinel is negative.
+  /// wins). kProvenEmptyBound is stored as is; any other negative bound
+  /// is clamped to 0 — no answer probability is below it.
   void Insert(const ItemKeyRef& key, double bound);
 
   /// Drops every entry (counters are kept).

@@ -6,35 +6,60 @@
 
 namespace uxm {
 
-size_t ApproxPtqResultBytes(const PtqResult& result) {
-  size_t bytes = sizeof(PtqResult) +
-                 result.answers.capacity() * sizeof(MappingAnswer);
-  for (const MappingAnswer& a : result.answers) {
-    bytes += a.matches.capacity() * sizeof(DocNodeId);
-  }
-  return bytes;
-}
-
-size_t ApproxEntryBytes(const RankedPtqResult& entry) {
-  size_t bytes = ApproxPtqResultBytes(entry.result) +
-                 sizeof(RankedPtqResult) - sizeof(PtqResult) +
-                 entry.ranked.capacity() * sizeof(MappingAnswer);
-  for (const MappingAnswer& a : entry.ranked) {
-    bytes += a.matches.capacity() * sizeof(DocNodeId);
-  }
-  return bytes;
-}
-
 namespace {
 
-/// Per-entry overhead beyond the value itself: the key string, the list
-/// node and one hash-map slot (rough, but it keeps zillions of tiny
-/// entries from reading as free).
+/// The heap chunk glibc's malloc carves for a `requested`-byte block: the
+/// request plus an 8-byte size header, rounded up to 16 bytes, 32 bytes
+/// at least (0 for no block). Tiny vectors cost a whole chunk each, so
+/// counting `capacity * sizeof` alone undercounts entries made of many
+/// one- or two-element match lists. The count is a function of the
+/// shape, not of malloc_usable_size: that one also reports the slack of
+/// a recycled chunk, so two identical entries would be charged
+/// differently depending on heap history.
+size_t ChunkBytes(size_t requested) {
+  if (requested == 0) return 0;
+  return std::max<size_t>(32, (requested + sizeof(size_t) + 15) &
+                                  ~size_t{15});
+}
+
+template <typename T>
+size_t VectorBytes(const std::vector<T>& v) {
+  return ChunkBytes(v.capacity() * sizeof(T));
+}
+
+/// Heap bytes of an answer list: its array plus every match list.
+size_t AnswerListBytes(const std::vector<MappingAnswer>& answers) {
+  size_t bytes = VectorBytes(answers);
+  for (const MappingAnswer& a : answers) bytes += VectorBytes(a.matches);
+  return bytes;
+}
+
+/// Per-entry bookkeeping beyond the value itself: the LRU list node (the
+/// owned key, hash, value pointer, byte count and two links), the index
+/// node and its bucket slot, and the key's twig text once it outgrows the
+/// string's inline buffer.
 size_t EntryOverheadBytes(const ItemKeyRef& key) {
-  return key.twig.size() + sizeof(ItemKey) + 6 * sizeof(void*);
+  size_t bytes = ChunkBytes(sizeof(ItemKey) + 6 * sizeof(void*)) +
+                 ChunkBytes(3 * sizeof(void*)) + sizeof(void*);
+  if (key.twig.size() > std::string().capacity()) {
+    bytes += ChunkBytes(key.twig.size() + 1);
+  }
+  return bytes;
 }
 
 }  // namespace
+
+size_t ApproxPtqResultBytes(const PtqResult& result) {
+  return sizeof(PtqResult) + AnswerListBytes(result.answers);
+}
+
+size_t ApproxEntryBytes(const RankedPtqResult& entry) {
+  // The entry object shares one make_shared block with its control block
+  // (two counts and a vtable pointer).
+  return ChunkBytes(sizeof(RankedPtqResult) + 3 * sizeof(void*)) +
+         AnswerListBytes(entry.result.answers) +
+         AnswerListBytes(entry.ranked);
+}
 
 ResultCache::ResultCache(ResultCacheOptions options) {
   const int shards = std::max(1, options.num_shards);

@@ -22,8 +22,9 @@
 //
 // Concurrency: N shards, each a mutex + intrusive LRU list; a key touches
 // exactly one shard, so concurrent workers on distinct keys rarely
-// contend. The byte budget — which counts both parts of every entry — is
-// split evenly across shards and enforced by LRU eviction at insert time.
+// contend. The byte budget — which counts both parts of every entry, each
+// heap block at the size the allocator really holds for it — is split
+// evenly across shards and enforced by LRU eviction at insert time.
 #ifndef UXM_CACHE_RESULT_CACHE_H_
 #define UXM_CACHE_RESULT_CACHE_H_
 
@@ -63,11 +64,16 @@ struct ResultCacheStats {
   size_t bytes_in_use = 0;  ///< Approximate (see ApproxEntryBytes).
 };
 
-/// Approximate heap footprint of a PtqResult.
+/// Approximate heap footprint of a PtqResult: the object plus every heap
+/// block it owns, each counted as the chunk the allocator carves for it
+/// (request plus size header, rounded up to 16 bytes, 32 at least — as
+/// glibc's malloc does).
 size_t ApproxPtqResultBytes(const PtqResult& result);
 
-/// Approximate heap footprint of a cache entry's value: the PtqResult
-/// plus its ranked match sets (the byte-budget unit).
+/// Approximate heap footprint of a cache entry's value, counted the same
+/// way: the shared entry block, the PtqResult's blocks and its ranked
+/// match sets' blocks (the byte-budget unit). Never below the summed
+/// usable sizes of the entry's vector blocks.
 size_t ApproxEntryBytes(const RankedPtqResult& entry);
 
 /// \brief Mutex-striped, byte-budgeted LRU cache of RankedPtqResults.

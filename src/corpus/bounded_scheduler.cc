@@ -53,12 +53,14 @@ void FoldItem(const BoundedRunContext& ctx, const BoundedPoolItem& pi,
               const std::shared_ptr<const RankedPtqResult>& entry) {
   TwigRace& race = *(*ctx.races)[pi.twig];
   const std::vector<MappingAnswer>& ranked = entry->ranked;
-  const double best = ranked.empty() ? 0.0 : ranked.front().probability;
+  const double best =
+      ranked.empty() ? kProvenEmptyBound : ranked.front().probability;
   // Realized bound: evaluation is deterministic in this key, so the best
-  // ranked answer (0 when there is none) is an exact bound for any later
-  // run under the same key — usually far tighter than the probe it
-  // refines. Insert keeps the min, so a stored bound that is already no
-  // larger (every warm hit's) needs no insert.
+  // ranked answer is an exact bound for any later run under the same key
+  // — usually far tighter than the probe it refines — and an empty ranked
+  // list proves the item empty, so later runs prune it unevaluated.
+  // Insert keeps the min, so a stored bound that is already no larger
+  // (every warm hit's) needs no insert.
   if (ctx.bound_cache != nullptr && !(pi.cached_bound <= best)) {
     ctx.bound_cache->Insert(key, best);
   }

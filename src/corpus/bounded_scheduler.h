@@ -29,6 +29,10 @@
 // and answer bounds are >= 0, so an item is pruned or cancelled only when
 // the k answers currently in hand all provably beat it — a fact that can
 // never be invalidated by answers still in flight (Push only tightens).
+// The one bound below -1.0 is kProvenEmptyBound (plan/query_plan.h): an
+// item that provably has no answer prunes against any threshold, so it is
+// never dispatched, never probes the result cache, and never charges an
+// anytime residual — dropping it cannot change any merge.
 // Which items get pruned/aborted is schedule-dependent; the merged top-k
 // is not. Debug builds re-evaluate every skipped document and certify it
 // (CertifyBoundedTopK).
@@ -62,6 +66,14 @@
 
 namespace uxm {
 
+/// A twig race's threshold before its tracker holds k answers: below
+/// every answer probability, so nothing with a real bound prunes yet —
+/// but above kProvenEmptyBound, so a proven-empty item prunes from the
+/// first prune check on.
+inline constexpr double kUnfilledThreshold = -1.0;
+static_assert(kProvenEmptyBound + kAnswerBoundSlack < kUnfilledThreshold,
+              "a proven-empty bound must prune against an unfilled race");
+
 /// \brief The shared race state for one twig of a bounded corpus batch.
 /// Concurrently written by every scheduler racing the twig; read-only
 /// once all of them have finished (finalization needs no locks).
@@ -76,9 +88,9 @@ struct TwigRace {
   /// The twig's k-th best probability once k answers are in hand
   /// (monotone max, raised under `mu`, read lock-free by the wave
   /// scheduler, the driver's pre-evaluation checks, and the in-kernel
-  /// cancellation polls). Starts below any probability so nothing prunes
-  /// until the tracker fills.
-  std::atomic<double> threshold{-1.0};
+  /// cancellation polls). Starts at kUnfilledThreshold, so only
+  /// proven-empty items prune until the tracker fills.
+  std::atomic<double> threshold{kUnfilledThreshold};
   /// Set the moment any scheduler observes a failure for this twig;
   /// every scheduler then stops dispatching its items.
   std::atomic<bool> failed{false};

@@ -28,7 +28,9 @@
 //     (QueryPlan::DocumentAnswerUpperBound). This is what lets a
 //     HOMOGENEOUS single-pair corpus prune: under one pair every item
 //     shares one pair bound, but skewed documents get strictly smaller
-//     document bounds.
+//     document bounds. An item the probe (or a prior evaluation) proves
+//     to have no answer at all gets kProvenEmptyBound, which prunes
+//     before dispatch even while the twig holds fewer than k answers.
 //
 // All (twig, document) items of the batch enter ONE shared dispatch
 // pool, interleaved best-bound-first across twigs (many-twig batches
@@ -169,8 +171,9 @@ struct CorpusQueryResult {
   /// is exact, so a skipped document still "participated" in the answer.
   int documents_evaluated = 0;
   /// Of those, documents never dispatched because their answer upper
-  /// bound fell below the k-th best answer (bound-driven pruning), and
-  /// documents aborted in flight by the shared threshold.
+  /// bound fell below the k-th best answer, or because they were proven
+  /// empty (kProvenEmptyBound; bound-driven pruning), and documents
+  /// aborted in flight by the shared threshold.
   int documents_pruned = 0;
   int documents_aborted = 0;
   /// True if any contributing evaluation hit the max_embeddings cap.
@@ -200,7 +203,8 @@ struct CorpusRunReport {
   /// inline from the result cache (BatchRunReport::result_cache_hits
   /// counts both kinds of hit).
   int items_evaluated = 0;
-  int items_pruned = 0;     ///< never dispatched (bound below threshold)
+  /// Never dispatched: bound below threshold, or proven empty.
+  int items_pruned = 0;
   int items_aborted = 0;    ///< cancelled in flight by the threshold
   /// Of items_aborted, those whose abort happened INSIDE the evaluation
   /// kernel rather than at the driver's cheap pre-evaluation checks.

@@ -50,6 +50,18 @@ struct QueryEmbeddings {
 /// real probability gap, keeping bound-driven pruning exact.
 inline constexpr double kAnswerBoundSlack = 1e-9;
 
+/// The answer upper bound of a (twig, document) item that provably
+/// produces no answer at all: no selected relevant mapping may match the
+/// document (QueryPlan::DocumentAnswerUpperBound), or an evaluation under
+/// the same key returned an empty ranked list. It sits strictly below
+/// every threshold the corpus scheduler compares bounds with — a race
+/// starts at -1.0 before it holds k answers (corpus/bounded_scheduler.h)
+/// — so the ordinary `bound + kAnswerBoundSlack < threshold` prune drops
+/// such an item before it is dispatched, even while its twig's top-k is
+/// still unfilled. It is a proof of emptiness, not a small probability: a
+/// probability-0 mapping that may match keeps an item at bound 0.
+inline constexpr double kProvenEmptyBound = -2.0;
+
 /// \brief The shared consumption order over one mapping set: work units
 /// in descending-probability order (stable — ties break by ascending
 /// mapping id, matching the stable sort in FilterRelevantMappings), each
@@ -95,6 +107,8 @@ class QueryPlan {
   QueryPlan(const FlatMappingTable* table,
             std::shared_ptr<const MappingOrder> order, TwigQuery query,
             std::shared_ptr<const QueryEmbeddings> embeddings);
+
+  ~QueryPlan();
 
   QueryPlan(const QueryPlan&) = delete;
   QueryPlan& operator=(const QueryPlan&) = delete;
@@ -163,6 +177,22 @@ class QueryPlan {
   /// lets homogeneous single-pair corpora prune at all. Always
   /// <= AnswerUpperBound(top_k) up to float noise; callers must allow
   /// kAnswerBoundSlack as usual.
+  ///
+  /// Returns kProvenEmptyBound iff NO selected relevant mapping may match
+  /// (including a twig with no relevant mappings at all) — decided by the
+  /// structure above, never by the summed mass, so a document that only
+  /// probability-0 mappings may match gets 0.0, not the sentinel.
+  ///
+  /// The probe is compiled once per (plan, top_k), on first use, into
+  /// flat arrays: the selection prefix's distinct (query node, source
+  /// element) atoms, the distinct embedding conjunctions over them, and
+  /// per prefix mapping the id of its set of conjunctions (stored only
+  /// when the prefix has more than one set), plus the prefix's whole
+  /// mass. A call checks each atom against `doc` at most once, allocates
+  /// nothing (beyond a fallback for probes with hundreds of atoms), and
+  /// sums the may-match probabilities in prefix order — the same doubles
+  /// in the same order as a direct walk, so the bound is bit-identical to
+  /// one.
   double DocumentAnswerUpperBound(int top_k,
                                   const AnnotatedDocument& doc) const;
 
@@ -173,7 +203,14 @@ class QueryPlan {
   }
 
  private:
+  /// One compiled document probe (see DocumentAnswerUpperBound).
+  struct DocumentProbe;
+
   bool ComputeRelevance(MappingId mid) const;
+  /// The compiled probe for `top_k` (<= 0 is one key), compiled on first
+  /// use.
+  const DocumentProbe& ProbeFor(int top_k) const;
+  std::unique_ptr<DocumentProbe> CompileProbe(int top_k) const;
 
   const FlatMappingTable* table_;
   std::shared_ptr<const MappingOrder> order_;
@@ -186,6 +223,11 @@ class QueryPlan {
   mutable std::atomic<uint64_t> relevance_checks_{0};
   mutable std::once_flag all_relevant_once_;
   mutable std::vector<MappingId> all_relevant_;
+  /// Compiled probes, one per top_k asked, as a push-front list: readers
+  /// walk it lock-free; compilation is serialized by probe_mu_. Owned by
+  /// the plan (freed in the destructor).
+  mutable std::atomic<const DocumentProbe*> probes_{nullptr};
+  mutable std::mutex probe_mu_;
 };
 
 }  // namespace uxm

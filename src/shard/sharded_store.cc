@@ -43,11 +43,33 @@ ShardedDocumentStore::ShardedDocumentStore(int num_shards)
   Publish(CorpusSnapshot{});
 }
 
-void ShardedDocumentStore::Publish(CorpusSnapshot all) {
+void ShardedDocumentStore::Publish(CorpusSnapshot all,
+                                   const std::string* changed) {
   auto next = std::make_shared<ShardedCorpusSnapshot>();
   next->all = std::make_shared<const CorpusSnapshot>(std::move(all));
   if (num_shards_ == 1) {
     next->shards.push_back(next->all);
+  } else if (changed != nullptr) {
+    // One name came or went: only its shard's view changes. The other
+    // views are shared with the live snapshot, and the changed one is
+    // the live view with the same one-entry edit (both stay name-sorted).
+    next->shards = snapshot_->shards;
+    std::shared_ptr<const CorpusSnapshot>& slot =
+        next->shards[ShardOf(*changed)];
+    const CorpusSnapshot& old_view = *slot;
+    auto at = std::lower_bound(old_view.begin(), old_view.end(), *changed,
+                               NameBelow);
+    CorpusSnapshot view;
+    view.reserve(old_view.size() + 1);
+    view.insert(view.end(), old_view.begin(), at);
+    if (at != old_view.end() && at->name == *changed) {
+      ++at;  // removed
+    } else {
+      view.push_back(*std::lower_bound(next->all->begin(), next->all->end(),
+                                       *changed, NameBelow));  // added
+    }
+    view.insert(view.end(), at, old_view.end());
+    slot = std::make_shared<const CorpusSnapshot>(std::move(view));
   } else {
     // A stable partition of the sorted view keeps every shard view
     // name-sorted too.
@@ -84,6 +106,8 @@ Status ShardedDocumentStore::AddAll(std::vector<CorpusDocument> entries) {
                                    entries[i].name + "' twice");
     }
   }
+  // A one-entry registration republishes only its shard's view.
+  const std::string single = entries.size() == 1 ? entries[0].name : "";
   std::lock_guard<std::mutex> lock(mu_);
   // One pass over the live view: each (sorted) new entry bisects the
   // rest of it, and the gaps between insertion points are copied once.
@@ -102,7 +126,7 @@ Status ShardedDocumentStore::AddAll(std::vector<CorpusDocument> entries) {
     cursor = at;
   }
   next.insert(next.end(), cursor, live.end());
-  Publish(std::move(next));
+  Publish(std::move(next), single.empty() ? nullptr : &single);
   return Status::OK();
 }
 
@@ -117,7 +141,7 @@ Status ShardedDocumentStore::Remove(const std::string& name) {
   next.reserve(live.size() - 1);
   next.insert(next.end(), live.begin(), at);
   next.insert(next.end(), at + 1, live.end());
-  Publish(std::move(next));
+  Publish(std::move(next), &name);
   return Status::OK();
 }
 

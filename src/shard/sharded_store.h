@@ -33,11 +33,12 @@
 // would route to shard s.
 //
 // The store keeps ONE name-sorted vector. A mutation binary-searches and
-// copies it once (no sort), then derives the S per-shard views from it
-// and publishes all of them as one ShardedCorpusSnapshot. A view entry is
-// a name and shared pointers, never a copy of a document or annotation;
-// at S = 1 the one shard view IS the merged view, so a write copies one
-// vector.
+// copies it once (no sort), then derives the per-shard views from it and
+// publishes all of them as one ShardedCorpusSnapshot. A view entry is a
+// name and shared pointers, never a copy of a document or annotation; at
+// S = 1 the one shard view IS the merged view, so a write copies one
+// vector. A single Add or Remove rebuilds only its document's shard view
+// and shares the other S - 1 with the previous snapshot.
 #ifndef UXM_SHARD_SHARDED_STORE_H_
 #define UXM_SHARD_SHARDED_STORE_H_
 
@@ -167,8 +168,11 @@ class ShardedDocumentStore {
 
  private:
   /// Publishes `all` (name-sorted) and the shard views derived from it
-  /// as the current snapshot. Caller holds mu_.
-  void Publish(CorpusSnapshot all);
+  /// as the current snapshot. When `changed` names the one document
+  /// added or removed since the live snapshot, only that document's
+  /// shard view is rebuilt and the others are shared; otherwise every
+  /// view is rebuilt. Caller holds mu_.
+  void Publish(CorpusSnapshot all, const std::string* changed = nullptr);
 
   const size_t num_shards_;
   mutable std::mutex mu_;

@@ -7,7 +7,11 @@
 // a warm bounded run dispatches nothing, counts every inline hit, keeps
 // the disposition invariant and its report samples, costs no evaluation
 // credit under a budget, and keeps the cache's byte accounting honest
-// (the ranked list is charged to, and freed with, its entry).
+// (the ranked list is charged to, and freed with, its entry, and every
+// heap block at least at the size the allocator holds for it). The
+// proven-empty tests pin that items no mapping may match never leave the
+// bound phase — pruned, not dispatched, not charged to a budget — with
+// answers equal to the exhaustive path's.
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -15,11 +19,17 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "cache/result_cache.h"
 #include "core/system.h"
 #include "corpus/corpus_executor.h"
 #include "plan/driver.h"
+#include "plan/query_plan.h"
 #include "shard/sharded_corpus_executor.h"
+#include "shard/sharded_store.h"
 #include "test_util.h"
 #include "workload/corpus_generator.h"
 
@@ -264,6 +274,259 @@ TEST_F(CorpusHitPathTest, WarmRunUnderAOneEvaluationBudgetIsExact) {
   }
 }
 
+// ------------------------------------------------ proven-empty items
+
+/// The paper's pair over a corpus of answerable and proven-empty
+/// documents. `full-*` are the Figure 2 document; `bare-*` hold only
+/// Order/SSP, where no mapping's route for ICN has an instance, so every
+/// item of theirs is proven empty; `ocn` holds only the Order/BP/OOC/OCN
+/// branch, which //ICN reaches under mapping m5 alone.
+class ProvenEmptyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    example_ = testutil::MakePaperExample();
+    bare_ = std::make_shared<Document>();
+    bare_->AddChild(bare_->AddRoot("Order"), "SSP");
+    bare_->Finalize();
+    ocn_ = std::make_shared<Document>();
+    const DocNodeId ooc = ocn_->AddChild(
+        ocn_->AddChild(ocn_->AddRoot("Order"), "BP"), "OOC");
+    ocn_->AddChild(ooc, "OCN", "Alice");
+    ocn_->Finalize();
+  }
+
+  std::shared_ptr<const AnnotatedDocument> Annotate(const Document& doc) {
+    auto bound = AnnotatedDocument::Bind(&doc, example_.source.get());
+    EXPECT_TRUE(bound.ok()) << bound.status();
+    return std::make_shared<const AnnotatedDocument>(
+        std::move(bound).ValueOrDie());
+  }
+
+  /// `full` full-*, `bare` bare-* and (optionally) the ocn document under
+  /// `pair`, published by a store with `shards` shards.
+  ShardedCorpusSnapshot Corpus(
+      int shards, const std::shared_ptr<const PreparedSchemaPair>& pair,
+      int full, int bare, bool with_ocn) {
+    ShardedDocumentStore store(shards);
+    uint64_t epoch = 1;
+    auto add = [&](const std::string& name, const Document* doc) {
+      EXPECT_TRUE(
+          store.Add(CorpusDocument{name, doc, Annotate(*doc), epoch++, pair})
+              .ok());
+    };
+    for (int i = 0; i < full; ++i) {
+      add("full-" + std::to_string(i), example_.doc.get());
+    }
+    for (int i = 0; i < bare; ++i) {
+      add("bare-" + std::to_string(i), bare_.get());
+    }
+    if (with_ocn) add("ocn", ocn_.get());
+    return *store.Snapshot();
+  }
+
+  /// How many (twig, document) items of `corpus` the probe proves empty.
+  static int ProvenEmptyItems(const ShardedCorpusSnapshot& corpus,
+                              const std::vector<std::string>& twigs,
+                              int item_k) {
+    int empty = 0;
+    for (const std::string& twig : twigs) {
+      for (const CorpusDocument& entry : *corpus.all) {
+        auto plan = entry.pair->compiler->Compile(twig);
+        EXPECT_TRUE(plan.ok()) << plan.status();
+        if ((*plan)->DocumentAnswerUpperBound(item_k, *entry.annotated) ==
+            kProvenEmptyBound) {
+          ++empty;
+        }
+      }
+    }
+    return empty;
+  }
+
+  static int Dispatched(const BatchRunReport& report) {
+    int n = 0;
+    for (const int items : report.items_per_thread) n += items;
+    return n;
+  }
+
+  testutil::PaperExample example_;
+  std::shared_ptr<Document> bare_;
+  std::shared_ptr<Document> ocn_;
+};
+
+// Fewer answers exist than k, so no twig's threshold ever fills: before
+// proven-empty bounds the scheduler evaluated every item. Now exactly the
+// proven-empty items are pruned — counted in items_pruned, never
+// dispatched — and the answers stay those of the exhaustive path at every
+// shard and thread count.
+TEST_F(ProvenEmptyTest, UnfilledTopKPrunesExactlyTheProvenEmptyItems) {
+  const auto pair = testutil::MakePaperPair(example_);
+  const std::vector<std::string> twigs = {"//ICN", "//IP//ICN",
+                                          "//ORDER//SCN"};
+  CorpusQueryOptions bounded;
+  bounded.top_k = 1000;
+  CorpusQueryOptions exhaustive = bounded;
+  exhaustive.bounded = false;
+  for (const int shards : {1, 2, 4}) {
+    const ShardedCorpusSnapshot corpus =
+        Corpus(shards, pair, /*full=*/3, /*bare=*/5, /*with_ocn=*/true);
+    const int items = static_cast<int>(twigs.size() * corpus.all->size());
+    for (const int threads : {1, 4}) {
+      const std::string label = "shards=" + std::to_string(shards) +
+                                " threads=" + std::to_string(threads);
+      BatchExecutorOptions exec_opts;
+      exec_opts.num_threads = threads;
+      BatchQueryExecutor executor(exec_opts);
+      const int empty =
+          ProvenEmptyItems(corpus, twigs, exec_opts.ptq.top_k);
+      ASSERT_GE(empty, 5 * static_cast<int>(twigs.size())) << label;
+      ASSERT_LT(empty, items) << label;
+      BoundCache bounds;
+      ShardedCorpusExecutor corpus_exec(&executor, &bounds);
+      auto got = corpus_exec.Run(corpus, twigs, bounded, nullptr);
+      auto want = corpus_exec.Run(corpus, twigs, exhaustive, nullptr);
+      ASSERT_TRUE(got.ok()) << label << ": " << got.status();
+      ASSERT_TRUE(want.ok()) << label << ": " << want.status();
+      const CorpusRunReport& r = got->corpus;
+      ExpectItemInvariant(r, label);
+      EXPECT_EQ(r.items_total, items) << label;
+      EXPECT_EQ(r.items_pruned, empty) << label;
+      EXPECT_EQ(r.items_evaluated, items - empty) << label;
+      EXPECT_EQ(r.items_aborted, 0) << label;
+      EXPECT_EQ(Dispatched(got->report), items - empty) << label;
+      for (size_t t = 0; t < twigs.size(); ++t) {
+        ASSERT_TRUE(got->answers[t].ok() && want->answers[t].ok()) << label;
+        EXPECT_TRUE(got->answers[t]->exact) << label;
+        ExpectSameAnswers(got->answers[t]->answers, want->answers[t]->answers,
+                          label + " twig " + twigs[t]);
+      }
+
+      // With probing off, a warm bound cache still holds the proof: the
+      // cold run recorded each empty ranked list as kProvenEmptyBound.
+      CorpusQueryOptions unprobed = bounded;
+      unprobed.probe_bounds = false;
+      BoundCache realized;
+      ShardedCorpusExecutor realized_exec(&executor, &realized);
+      auto first = realized_exec.Run(corpus, twigs, unprobed, nullptr);
+      auto second = realized_exec.Run(corpus, twigs, unprobed, nullptr);
+      ASSERT_TRUE(first.ok() && second.ok()) << label;
+      EXPECT_EQ(first->corpus.items_pruned, 0) << label;
+      EXPECT_EQ(second->corpus.items_pruned, empty) << label;
+      EXPECT_EQ(Dispatched(second->report), items - empty) << label;
+      for (size_t t = 0; t < twigs.size(); ++t) {
+        ASSERT_TRUE(second->answers[t].ok()) << label;
+        ExpectSameAnswers(second->answers[t]->answers,
+                          want->answers[t]->answers,
+                          label + " unprobed twig " + twigs[t]);
+      }
+    }
+  }
+}
+
+// The proof is structural, not a zero sum: a document that only a
+// probability-0 mapping may match is bounded at 0.0, evaluated, and
+// answered (with probability 0), while a document no mapping may match
+// is pruned.
+TEST_F(ProvenEmptyTest, ProbabilityZeroMappingStillCountsAsMayMatch) {
+  // m5 is the only mapping routing ICN to OCN.
+  (*example_.mappings.mutable_mappings())[4].probability = 0.0;
+  const auto pair = testutil::MakePaperPair(example_);
+  const ShardedCorpusSnapshot corpus =
+      Corpus(/*shards=*/1, pair, /*full=*/0, /*bare=*/1, /*with_ocn=*/true);
+  auto plan = pair->compiler->Compile("//ICN");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const CorpusDocument& bare = (*corpus.all)[0];
+  const CorpusDocument& ocn = (*corpus.all)[1];
+  ASSERT_EQ(ocn.name, "ocn");
+  for (const int k : {0, 5}) {
+    EXPECT_EQ((*plan)->DocumentAnswerUpperBound(k, *ocn.annotated), 0.0);
+    EXPECT_EQ((*plan)->DocumentAnswerUpperBound(k, *bare.annotated),
+              kProvenEmptyBound);
+  }
+
+  BatchQueryExecutor executor(BatchExecutorOptions{});
+  ShardedCorpusExecutor corpus_exec(&executor);
+  CorpusQueryOptions options;
+  options.top_k = 10;
+  auto got = corpus_exec.Run(corpus, {"//ICN"}, options, nullptr);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->corpus.items_evaluated, 1);
+  EXPECT_EQ(got->corpus.items_pruned, 1);
+  ASSERT_TRUE(got->answers[0].ok());
+  const std::vector<CorpusAnswer>& answers = got->answers[0]->answers;
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_EQ(answers[0].document, "ocn");
+  EXPECT_EQ(answers[0].probability, 0.0);
+  EXPECT_FALSE(answers[0].matches.empty());
+
+  // The same when every selected mapping may match and all of them have
+  // probability 0: the bound is the (zero) mass, not the sentinel.
+  for (PossibleMapping& m : *example_.mappings.mutable_mappings()) {
+    m.probability = 0.0;
+  }
+  const auto zero_pair = testutil::MakePaperPair(example_);
+  auto zero_plan = zero_pair->compiler->Compile("//ICN");
+  ASSERT_TRUE(zero_plan.ok()) << zero_plan.status();
+  const auto full = Annotate(*example_.doc);
+  for (const int k : {0, 5}) {
+    EXPECT_EQ((*zero_plan)->DocumentAnswerUpperBound(k, *full), 0.0);
+  }
+}
+
+// Under an evaluation cap proven-empty items are pruned — in the wave
+// loop and in the drain after the budget expires — never dispatched, so
+// they spend no credit, are never budget-skipped, and never raise the
+// certified residual. One answerable document under a one-evaluation
+// budget is therefore exact; with more answerable documents than one
+// wave holds, the drain skips only those, and the residual is their
+// bound.
+TEST_F(ProvenEmptyTest, BudgetDrainNeverChargesProvenEmptyItems) {
+  const auto pair = testutil::MakePaperPair(example_);
+  auto plan = pair->compiler->Compile("//ICN");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  for (const int full : {1, 12}) {
+    const ShardedCorpusSnapshot corpus =
+        Corpus(/*shards=*/1, pair, full, /*bare=*/12, /*with_ocn=*/false);
+    const auto first_full = std::find_if(
+        corpus.all->begin(), corpus.all->end(),
+        [](const CorpusDocument& e) { return e.name == "full-0"; });
+    ASSERT_NE(first_full, corpus.all->end());
+    const double full_bound = std::min(
+        (*plan)->AnswerUpperBound(0),
+        (*plan)->DocumentAnswerUpperBound(0, *first_full->annotated));
+    for (const int threads : {1, 4}) {
+      const std::string label = "full=" + std::to_string(full) +
+                                " threads=" + std::to_string(threads);
+      BatchExecutorOptions exec_opts;
+      exec_opts.num_threads = threads;
+      BatchQueryExecutor executor(exec_opts);
+      ShardedCorpusExecutor corpus_exec(&executor);
+      CorpusQueryOptions options;
+      options.top_k = 1000;
+      options.max_evaluations = 1;
+      auto got = corpus_exec.Run(corpus, {"//ICN"}, options, nullptr);
+      ASSERT_TRUE(got.ok()) << label << ": " << got.status();
+      const CorpusRunReport& r = got->corpus;
+      ExpectItemInvariant(r, label);
+      EXPECT_EQ(r.items_pruned, 12) << label;
+      ASSERT_TRUE(got->answers[0].ok()) << label;
+      if (full == 1) {
+        EXPECT_EQ(r.items_evaluated, 1) << label;
+        EXPECT_FALSE(got->answers[0]->answers.empty()) << label;
+        EXPECT_TRUE(got->exact) << label;
+        EXPECT_EQ(r.items_deadline_skipped, 0) << label;
+        EXPECT_TRUE(got->answers[0]->exact) << label;
+        EXPECT_EQ(got->answers[0]->max_residual_bound, 0.0) << label;
+      } else {
+        // The first wave dispatches 8 full documents (at most one
+        // evaluates); the drain finds the other 4 and every bare one.
+        EXPECT_FALSE(got->answers[0]->exact) << label;
+        EXPECT_EQ(r.items_deadline_skipped, full - 8) << label;
+        EXPECT_EQ(got->answers[0]->max_residual_bound, full_bound) << label;
+      }
+    }
+  }
+}
+
 // --------------------------------------------- the cached list itself
 
 // The corpus paths merge the cached entry's ranked list as it is: with
@@ -374,6 +637,46 @@ TEST(CorpusHitPathCacheTest, EntryBytesCountTheRankedList) {
   small.Insert(Key(0), spread);
   EXPECT_EQ(small.Stats().entries, 0u);
   EXPECT_EQ(small.Stats().bytes_in_use, 0u);
+}
+
+// The byte budget counts what the allocator holds: an entry made of many
+// one- and two-element match lists is charged at least the summed usable
+// sizes of its heap blocks, not just capacity * sizeof.
+TEST(CorpusHitPathCacheTest, EntryBytesCoverTheAllocatorsBlocks) {
+  PtqResult r;
+  for (int i = 0; i < 48; ++i) {
+    MappingAnswer a;
+    a.mapping = i;
+    a.probability = 0.01;
+    a.matches.push_back(i);
+    if (i % 2 == 0) a.matches.push_back(i + 100);
+    r.answers.push_back(std::move(a));
+  }
+  const RankedPtqResult entry(std::move(r));
+  size_t usable = 0;
+  size_t naive = 0;
+  auto count = [&](const auto& v) {
+    naive += v.capacity() * sizeof(v[0]);
+#if defined(__GLIBC__)
+    if (v.data() != nullptr) {
+      usable += malloc_usable_size(const_cast<void*>(
+          static_cast<const void*>(v.data())));
+    }
+#else
+    usable += v.capacity() * sizeof(v[0]);
+#endif
+  };
+  for (const std::vector<MappingAnswer>* list :
+       {&entry.result.answers, &entry.ranked}) {
+    count(*list);
+    for (const MappingAnswer& a : *list) count(a.matches);
+  }
+  ASSERT_EQ(entry.ranked.size(), 48u);
+  EXPECT_GE(ApproxEntryBytes(entry), usable);
+  EXPECT_GT(ApproxEntryBytes(entry), naive);
+  EXPECT_GE(ApproxPtqResultBytes(entry.result),
+            sizeof(PtqResult) + entry.result.answers.size() * 2 *
+                                    sizeof(DocNodeId));
 }
 
 TEST(CorpusHitPathCacheTest, EvictionErasePairAndClearReleaseTheEntry) {

@@ -213,6 +213,48 @@ TEST_F(ShardedStoreTest, EveryShardCountPublishesTheSameMergedView) {
   }
 }
 
+TEST_F(ShardedStoreTest, OneWriteRebuildsOnlyItsShardView) {
+  ShardedDocumentStore store(4);
+  for (const std::string name : {"a", "b", "c", "d", "e", "f", "g", "h"}) {
+    ASSERT_TRUE(store.Add(Entry(name)).ok()) << name;
+  }
+  // Every view must equal a fresh stable partition of `all`.
+  auto expect_fresh_partition = [](const ShardedCorpusSnapshot& snap) {
+    std::vector<CorpusSnapshot> fresh(snap.shards.size());
+    for (const CorpusDocument& e : *snap.all) {
+      fresh[ShardForDocument(e.name, fresh.size())].push_back(e);
+    }
+    for (size_t s = 0; s < fresh.size(); ++s) {
+      const CorpusSnapshot& view = *snap.shards[s];
+      ASSERT_EQ(view.size(), fresh[s].size()) << "shard " << s;
+      for (size_t i = 0; i < view.size(); ++i) {
+        EXPECT_EQ(view[i].name, fresh[s][i].name);
+        EXPECT_EQ(view[i].annotated, fresh[s][i].annotated);
+        EXPECT_EQ(view[i].epoch, fresh[s][i].epoch);
+        EXPECT_EQ(view[i].pair, fresh[s][i].pair);
+      }
+    }
+  };
+  // After one Add and then one Remove, the other three views are the
+  // previous snapshot's pointers; only the written name's view is new.
+  for (const bool add : {true, false}) {
+    const auto before = store.Snapshot();
+    const std::string name = "m";
+    ASSERT_TRUE(add ? store.Add(Entry(name)).ok() : store.Remove(name).ok());
+    const auto after = store.Snapshot();
+    const size_t changed = store.ShardOf(name);
+    for (size_t s = 0; s < 4; ++s) {
+      if (s == changed) {
+        EXPECT_NE(after->shards[s].get(), before->shards[s].get());
+      } else {
+        EXPECT_EQ(after->shards[s].get(), before->shards[s].get()) << s;
+      }
+    }
+    expect_fresh_partition(*after);
+    ExpectPartitionInvariant(*after);
+  }
+}
+
 TEST_F(ShardedStoreTest, AddAllRegistersAllOrNothing) {
   for (const int shards : {1, 4}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
