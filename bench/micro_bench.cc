@@ -572,73 +572,63 @@ void BM_ManyTwigCorpusBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ManyTwigCorpusBatch)->UseRealTime();
 
-// In-process sharded corpus serving: the same bounded top-k query over
-// a LARGE skewed multi-pair corpus (8 hot + 224 cold documents), with
-// the corpus partitioned into S per-shard bounded schedulers racing the
-// shared global thresholds. Caches are off so evaluation work is
-// actually measured, and the executor pool is pinned to ONE worker: a
-// pool worker and the calling thread race for each wave's single claim
-// slot, so with S=1 the whole corpus retires on one thread while with
-// S=8 each shard's scheduler carries its own waves (the caller thread
-// runs the first shard, a dedicated driver each other one) — the ratio
-// isolates the scatter-gather parallelism itself with total work held
-// fixed (the gated twig prunes nothing, so every S evaluates the same
-// items; answers are bit-identical at every S, see
-// tests/sharded_differential_test.cc). The same-run
-// BM_ShardedCorpusTopK/1 vs /8 ratio is gated >= 1.5x on multi-core CI
-// by tools/check_bench_regression.py --min-shard-speedup (self-skipped
-// below 4 CPUs, where the shard drivers have no cores to spread over).
-// The corpus is sized so every shard's slice spans several scheduler
-// waves (a wave is at least 8 items) — with a slice inside one wave
-// everything dispatches before any threshold rises and the racing
-// schedulers degenerate to eager fan-out.
-UncertainMatchingSystem* ShardedSkewedSystem(int shards) {
-  static auto* systems = new std::map<int, UncertainMatchingSystem*>();
-  const auto it = systems->find(shards);
-  if (it != systems->end()) return it->second;
-  static const SkewedCorpusScenario* scenario = [] {
+// Corpus top-k against the worker count: the same bounded top-k query
+// over a LARGE skewed multi-pair corpus (8 hot + 224 cold documents) at
+// S = 1, on a pool of Arg workers. Caches are off so evaluation work is
+// actually measured. The scheduler's one claim loop runs on the calling
+// thread plus the Arg - 1 helpers its first evaluation recruits, so the
+// /1 vs /4 ratio is the claim loop's parallel scaling (answers are
+// bit-identical at every worker count, see
+// tests/sharded_differential_test.cc). The same-run /1 vs /4 ratio of
+// this benchmark and of BM_ShardedCorpusBatch is gated >= 1.0 — more
+// workers must never make a query slower — by
+// tools/check_bench_regression.py --min-worker-scaling (a multi-CPU gate:
+// skipped below 4 CPUs, and failed there instead when CI is set).
+UncertainMatchingSystem* ShardedSkewedSystem() {
+  static UncertainMatchingSystem* system = [] {
     SkewedCorpusOptions gen;
     gen.cold_documents_per_pair = 32;  // 8 hot + 7 * 32 cold = 232 docs
     gen.doc_target_nodes = 220;  // enough per-item work that the fixed
-                                 // per-batch driver spawn cost is noise
+                                 // per-run helper recruitment is noise
     auto made = MakeSkewedCorpusScenario(gen);
     if (!made.ok()) {
       std::fprintf(stderr, "sharded corpus scenario failed: %s\n",
                    made.status().ToString().c_str());
       std::abort();
     }
-    return new SkewedCorpusScenario(std::move(made).ValueOrDie());
-  }();
-  SystemOptions options;
-  options.top_h.h = 30;
-  options.corpus_shards = shards;
-  options.cache.enable_result_cache = false;
-  options.cache.enable_bound_cache = false;
-  auto* s = new UncertainMatchingSystem(options);
-  for (const SkewedPair& pair : scenario->pairs) {
-    if (!s->PrepareFromMatching(pair.matching).ok()) std::abort();
-  }
-  for (size_t i = 0; i < scenario->documents.size(); ++i) {
-    const SkewedPair& pair =
-        scenario->pairs[static_cast<size_t>(scenario->doc_pair[i])];
-    if (!s->AddDocument(scenario->names[i], scenario->documents[i].get(),
-                        pair.source.get(), scenario->target.get())
-             .ok()) {
-      std::abort();
+    // Leaked on purpose, like the system: the documents must outlive it.
+    const auto* scenario =
+        new SkewedCorpusScenario(std::move(made).ValueOrDie());
+    SystemOptions options;
+    options.top_h.h = 30;
+    options.corpus_shards = 1;
+    options.cache.enable_result_cache = false;
+    options.cache.enable_bound_cache = false;
+    auto* s = new UncertainMatchingSystem(options);
+    for (const SkewedPair& pair : scenario->pairs) {
+      if (!s->PrepareFromMatching(pair.matching).ok()) std::abort();
     }
-  }
-  (*systems)[shards] = s;
-  return s;
+    for (size_t i = 0; i < scenario->documents.size(); ++i) {
+      const SkewedPair& pair =
+          scenario->pairs[static_cast<size_t>(scenario->doc_pair[i])];
+      if (!s->AddDocument(scenario->names[i], scenario->documents[i].get(),
+                          pair.source.get(), scenario->target.get())
+               .ok()) {
+        std::abort();
+      }
+    }
+    return s;
+  }();
+  return system;
 }
 
 void RunShardedCorpusBench(benchmark::State& state,
                            const std::vector<std::string>& twigs) {
-  UncertainMatchingSystem* sys =
-      ShardedSkewedSystem(static_cast<int>(state.range(0)));
+  UncertainMatchingSystem* sys = ShardedSkewedSystem();
   CorpusQueryOptions opts;
   opts.top_k = 5;
   BatchRunOptions run;
-  run.num_threads = 1;  // shard drivers carry the waves (see above)
+  run.num_threads = static_cast<int>(state.range(0));
   int evaluated = 0;
   int pruned = 0;
   int aborted = 0;
@@ -656,45 +646,43 @@ void RunShardedCorpusBench(benchmark::State& state,
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(sys->corpus_size()) *
                           static_cast<int64_t>(twigs.size()));
-  state.counters["shards"] = static_cast<double>(state.range(0));
+  state.counters["workers"] = static_cast<double>(state.range(0));
   state.counters["items_evaluated"] = evaluated;
   state.counters["items_pruned"] = pruned;
   state.counters["items_aborted"] = aborted;
 }
 
 void BM_ShardedCorpusTopK(benchmark::State& state) {
-  // "//BIG" answers with comparable probability from every document, so
-  // no bound ever falls below the rising threshold: all 232 items are
-  // evaluated at every S, and the /1 vs /8 ratio is pure scheduler
-  // parallelism (the pruning engine has its own benchmarks above).
+  // "//BIG" answers with comparable probability from almost every
+  // document, so few bounds fall below the rising threshold and nearly
+  // every item is evaluated at every worker count (the pruning engine has
+  // its own benchmarks above).
   RunShardedCorpusBench(state, {"//BIG"});
 }
-BENCHMARK(BM_ShardedCorpusTopK)->Arg(1)->Arg(8)->UseRealTime();
+BENCHMARK(BM_ShardedCorpusTopK)->Arg(1)->Arg(4)->UseRealTime();
 
-// The five-twig batch over the same sharded corpus: per-twig thresholds
-// race across shards AND across twigs in one dispatch, and the skewed
-// "//PROBE" twig prunes its cold items across shard boundaries mid-
-// flight. Tracked against BENCH_baseline.json; the /1 vs /8 ratio is
-// informational here (the gate pins the single-twig benchmark above).
+// The five-twig batch over the same corpus: per-twig thresholds race
+// across twigs in one claim loop, and the skewed "//PROBE" twig prunes
+// its cold items mid-flight.
 void BM_ShardedCorpusBatch(benchmark::State& state) {
   RunShardedCorpusBench(state, {"//PROBE", "//BIG", "//F1", "//F2", "//F3"});
 }
-BENCHMARK(BM_ShardedCorpusBatch)->Arg(1)->Arg(8)->UseRealTime();
+BENCHMARK(BM_ShardedCorpusBatch)->Arg(1)->Arg(4)->UseRealTime();
 
-// Anytime serving latency: the same 232-document sharded corpus under a
+// Anytime serving latency: the same 232-document corpus under a
 // per-run deadline of Arg microseconds, on the evaluate-everything
 // "//BIG" twig (no pruning shortcut, so tight budgets genuinely truncate
 // the run). What's measured is the DEADLINE PROTOCOL: the run must come
 // back as soon as the budget expires, so the per-iteration real time is
 // gated <= budget + one kernel poll interval of grace by
-// tools/check_bench_regression.py --max-deadline-overshoot (self-skipped
-// below 4 CPUs). The exact_share / items_deadline_skipped counters show
-// how much of the corpus each budget bought.
+// tools/check_bench_regression.py --max-deadline-overshoot (a multi-CPU
+// gate). The exact_share / items_deadline_skipped counters show how much
+// of the corpus each budget bought.
 void BM_AnytimeCorpusTopK(benchmark::State& state) {
-  UncertainMatchingSystem* sys = ShardedSkewedSystem(8);
+  UncertainMatchingSystem* sys = ShardedSkewedSystem();
   const auto budget = std::chrono::microseconds(state.range(0));
   BatchRunOptions run;
-  run.num_threads = 1;  // shard drivers carry the waves (see above)
+  run.num_threads = 1;  // caller-only claims: the deadline protocol alone
   int64_t exact_runs = 0;
   int deadline_skipped = 0;
   for (auto _ : state) {
@@ -915,22 +903,6 @@ void BM_DocumentBoundProbe(benchmark::State& state) {
   state.SetLabel(fresh ? "fresh plan" : "warm plan");
 }
 BENCHMARK(BM_DocumentBoundProbe)->Arg(0)->Arg(1);
-
-// Pool overhead floor: how fast the pool can push trivial tasks through
-// ParallelFor. Keeps scheduling regressions visible independently of
-// query cost.
-void BM_ThreadPoolParallelFor(benchmark::State& state) {
-  ThreadPool pool(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    std::atomic<int64_t> sum{0};
-    pool.ParallelFor(1024, [&sum](size_t i) {
-      sum.fetch_add(static_cast<int64_t>(i), std::memory_order_relaxed);
-    });
-    benchmark::DoNotOptimize(sum.load());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1024);
-}
-BENCHMARK(BM_ThreadPoolParallelFor)->Arg(1)->Arg(4)->UseRealTime();
 
 void BM_XmlParse(benchmark::State& state) {
   bench::Env env = bench::MakeEnv("D7", 10, /*with_doc=*/true);

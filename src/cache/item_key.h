@@ -7,7 +7,7 @@
 //
 // Two forms: ItemKey owns its twig and is what the caches store;
 // ItemKeyRef borrows the twig and carries its hash precomputed, so a
-// corpus bound phase or wave loop that probes one twig against hundreds
+// corpus bound phase or claim loop that probes one twig against hundreds
 // of documents copies and hashes the twig text once, not once per probe.
 // Equality is over all six fields either way (the twig by content).
 #ifndef UXM_CACHE_ITEM_KEY_H_

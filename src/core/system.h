@@ -112,13 +112,12 @@ struct SystemOptions {
   BlockTreeOptions block_tree;
   PtqOptions ptq;
   CacheOptions cache;
-  /// Corpus shard count for in-process scatter-gather corpus serving
-  /// (src/shard/): documents partition into this many shards by stable
-  /// name hash, and bounded corpus batches run one TA scheduler per
-  /// shard against shared per-twig thresholds. <= 0 selects
-  /// DefaultShardCount() = 1 on every host, which disables sharding (one
-  /// scheduler, run on the caller thread). Answers are bit-identical for
-  /// every value.
+  /// Corpus shard count (src/shard/): documents partition into this many
+  /// shards by stable name hash, which routes per-shard snapshots
+  /// (SaveShardSnapshot) and labels bounded runs' shard_reports. Every
+  /// corpus query runs one claim loop whatever the value, so parallelism
+  /// comes from the pool's workers. <= 0 selects DefaultShardCount() = 1
+  /// on every host. Answers are bit-identical for every value.
   int corpus_shards = 0;
 };
 

@@ -32,9 +32,9 @@
 //     to have no answer at all gets kProvenEmptyBound, which prunes
 //     before dispatch even while the twig holds fewer than k answers.
 //
-// All (twig, document) items of the batch enter ONE shared dispatch
-// pool, interleaved best-bound-first across twigs (many-twig batches
-// keep wide pools saturated instead of draining one twig at a time).
+// All (twig, document) items of the batch enter ONE shared claim pool,
+// interleaved best-bound-first across twigs (many-twig batches keep wide
+// pools saturated instead of draining one twig at a time).
 // Each twig races its own top-k: a per-twig tracker keeps the k best
 // answers found so far, and the twig's k-th best probability is
 // published as its own atomic threshold that (a) stops dispatching —
@@ -52,13 +52,13 @@
 // — debug builds re-evaluate every skipped item and certify it, and
 // tests/differential_test.cc sweeps bounded vs brute force.
 //
-// Result-cache hits never leave the scheduler thread: right after an
-// item survives its prune check, the scheduler probes the result cache
-// with the driver's key (ResultKey in plan/driver.h). A hit folds
-// straight into its twig's race — one hash probe and one refcount, no
-// copy, no re-collapse, no hand-off to the pool — so its answers raise
-// the threshold before the next item's prune check; only misses form
-// executor waves. On a warm corpus a query therefore dispatches nothing.
+// Result-cache hits never reach the driver: right after an item survives
+// its prune check, the claiming slot probes the result cache with the
+// driver's key (ResultKey in plan/driver.h). A hit folds straight into
+// its twig's race — one hash probe and one refcount, no copy, no
+// re-collapse — so its answers raise the threshold before the next
+// claim; only misses are evaluated, and the first of them recruits the
+// pool's helpers. On a warm corpus a query therefore wakes no thread.
 //
 // Merge semantics: each document's answers come as the ranked match sets
 // of its RankedPtqResult (PtqResult::RankedMatchSets — answers over
@@ -205,7 +205,9 @@ struct CorpusRunReport {
   int items_evaluated = 0;
   /// Never dispatched: bound below threshold, or proven empty.
   int items_pruned = 0;
-  int items_aborted = 0;    ///< cancelled in flight by the threshold
+  /// Cancelled in flight (by the threshold or the run's budget), or
+  /// claimed after the budget expired (items_deadline_skipped).
+  int items_aborted = 0;
   /// Of items_aborted, those whose abort happened INSIDE the evaluation
   /// kernel rather than at the driver's cheap pre-evaluation checks.
   int items_aborted_in_kernel = 0;
@@ -213,18 +215,21 @@ struct CorpusRunReport {
   /// items never dispatched because their twig had already failed — a
   /// compile failure charges the twig's whole document count here.
   int items_failed = 0;
-  /// Executor waves issued. Only result-cache misses are dispatched, so
-  /// a fully warm run issues none.
+  /// Helper recruitments: 1 once the run reaches its first driver
+  /// evaluation — the point where the claim loop wakes the pool's W - 1
+  /// helpers, none at W = 1 — and 0 for a run whose every item was
+  /// pruned, served from the result cache or failed before evaluation.
+  /// The exhaustive path reports 1 for any non-empty batch.
   int dispatches = 0;
   /// Of items_aborted, items never dispatched at all because the run's
   /// budget (deadline / max_evaluations) expired first. Budget aborts of
   /// items already in flight land in items_aborted(_in_kernel) like
   /// threshold aborts.
   int items_deadline_skipped = 0;
-  /// Wall-clock nanoseconds this scheduler spent (bound phase + dispatch
-  /// waves). On the sharded path each shard_reports entry carries its own
-  /// scheduler's time and the aggregate is their SUM — total scheduler
-  /// nanoseconds, not the batch's wall-clock latency.
+  /// Wall-clock nanoseconds of the run's bound phase and claim loop (the
+  /// merge excluded). A shard_reports entry carries the run's time
+  /// apportioned by its share of items_total, so the entries sum to the
+  /// aggregate like every other field.
   int64_t elapsed_ns = 0;
 };
 
@@ -233,19 +238,20 @@ struct CorpusRunReport {
 /// accounting.
 struct CorpusBatchResponse {
   std::vector<Result<CorpusQueryResult>> answers;
-  /// The executor statistics of the run's dispatched items —
-  /// items_per_thread counts dispatched items only — plus the inline
-  /// result-cache hits in result_cache_hits. The cumulative `compiler`
+  /// The executor statistics of the run's evaluated items —
+  /// items_per_thread counts driver evaluations per claim slot only —
+  /// plus the inline result-cache hits in result_cache_hits. The cumulative `compiler`
   /// and `result_cache` samples are taken by the scheduler at the end of
   /// the run, so a fully warm run that dispatches nothing still reports
   /// them.
   BatchRunReport report;
   CorpusRunReport corpus;
-  /// Per-shard scheduler reports of a bounded run over S >= 2 shards
-  /// (shard/sharded_corpus_executor.h), in shard index order — each
-  /// shard's own evaluated/pruned/aborted/failed split, summing
-  /// field-by-field to `corpus`. Empty at S = 1 and on the exhaustive
-  /// path.
+  /// Per-shard views of a bounded run over S >= 2 shards, in shard index
+  /// order: each entry counts the items of the documents that shard
+  /// holds (ShardForDocument), read off the run's per-item disposition
+  /// record, and the entries sum field by field to `corpus` (dispatches
+  /// goes to the shard of the item that recruited; elapsed_ns is
+  /// apportioned). Empty at S = 1 and on the exhaustive path.
   std::vector<CorpusRunReport> shard_reports;
   /// False iff any answer slot was budget-truncated — an OK slot with
   /// `exact == false`, or a kDeadlineExceeded failure under

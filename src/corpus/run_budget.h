@@ -2,12 +2,11 @@
 // run (CorpusQueryOptions::deadline / max_evaluations).
 //
 // A budgeted run creates exactly ONE RunBudget and threads a pointer to it
-// through every layer that does work on the run's behalf: the bounded
-// scheduler's dispatch loop polls it between waves, ExecutionDriver polls
-// it between phases (and charges one evaluation credit before entering a
-// kernel), every shard scheduler of a ShardedCorpusExecutor run observes
-// the same object (so the merged certificate is global, not per-shard),
-// and the flat kernels poll the sticky expiry flag — plus the deadline
+// through every layer that does work on the run's behalf: every claim of
+// the bounded scheduler's claim loop polls it (one run at every shard
+// count, so the merged certificate is global), ExecutionDriver polls it
+// between phases (and charges one evaluation credit before entering a
+// kernel), and the flat kernels poll the sticky expiry flag — plus the deadline
 // clock itself — at their existing 64-tick cancellation sites, so even a
 // single stuck evaluation aborts within one poll interval.
 //

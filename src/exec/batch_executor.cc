@@ -1,7 +1,9 @@
 #include "exec/batch_executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
+#include <future>
 #include <type_traits>
 #include <utility>
 
@@ -9,41 +11,89 @@
 
 namespace uxm {
 
+/// The state one claim run shares between its slots. Only slot 0 (the
+/// calling thread) touches `recruited` and `helpers`; each slot writes
+/// only its own `tallies` entry, once, when its loop returns.
+struct ClaimSlot::RunState {
+  const std::function<void(ClaimSlot&)>* loop = nullptr;
+  bool recruited = false;
+  std::vector<std::future<void>> helpers;
+  std::vector<ClaimSlotTally> tallies;
+};
+
+ClaimSlot::~ClaimSlot() {
+  if (scratch_ != nullptr) executor_->ReleaseScratch(std::move(scratch_));
+}
+
+MonotonicScratch* ClaimSlot::Scratch() {
+  if (scratch_ == nullptr) scratch_ = executor_->AcquireScratch();
+  return scratch_.get();
+}
+
+bool ClaimSlot::Recruit(size_t unclaimed) {
+  if (index_ != 0 || run_->recruited) return false;
+  run_->recruited = true;
+  const size_t helpers = std::min(
+      static_cast<size_t>(executor_->num_threads() - 1), unclaimed);
+  run_->helpers.reserve(helpers);
+  for (size_t h = 1; h <= helpers; ++h) {
+    RunState* run = run_;
+    const BatchQueryExecutor* executor = executor_;
+    auto future = executor_->pool_->Submit([run, executor, h] {
+      ClaimSlot slot(executor, run, h);
+      (*run->loop)(slot);
+      run->tallies[h] = slot.tally;
+    });
+    if (future.valid()) run_->helpers.push_back(std::move(future));
+  }
+  return true;
+}
+
 namespace {
 
-/// Per-worker counters. Plan compilation and result caching are shared
-/// (the QueryCompiler/ResultCache are internally synchronized); only the
-/// tallies stay thread-local so the query hot path takes no extra locks.
-struct WorkerScratch {
-  int items = 0;
-  int compile_hits = 0;
-  int result_hits = 0;
-  int result_misses = 0;
-  int mappings_pruned = 0;
-  int aborted = 0;
-  int aborted_in_kernel = 0;
-};
+/// Runs one driver call. Any throw — compile, evaluate, even bad_alloc —
+/// fails only this request and never escapes the Result-returning API.
+template <typename Call>
+auto Guarded(Call&& call) -> decltype(call()) {
+  try {
+    return call();
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string("evaluation threw: ") + e.what());
+  } catch (...) {
+    return Status::Internal("evaluation threw a non-std exception");
+  }
+}
 
 }  // namespace
 
-/// RAII lease of one pooled arena for one worker slot's claim loop. The
-/// arena returns to the pool with its grown capacity intact, so across
-/// Runs the fleet of arenas converges on the workload's high-water mark
-/// and evaluation scratch stops allocating entirely.
-class ScratchLease {
- public:
-  explicit ScratchLease(const BatchQueryExecutor* owner)
-      : owner_(owner), scratch_(owner->AcquireScratch()) {}
-  ~ScratchLease() { owner_->ReleaseScratch(std::move(scratch_)); }
-  ScratchLease(const ScratchLease&) = delete;
-  ScratchLease& operator=(const ScratchLease&) = delete;
+void ClaimSlot::Count(const DriverCounters& c) {
+  ++tally.items;
+  tally.compile_hits += c.compile_hit ? 1 : 0;
+  tally.result_hits += c.result_hit ? 1 : 0;
+  tally.result_misses += c.result_miss ? 1 : 0;
+  tally.mappings_pruned += c.select.skipped;
+  tally.aborted += c.cancelled ? 1 : 0;
+  tally.aborted_in_kernel += c.cancelled_in_kernel ? 1 : 0;
+}
 
-  MonotonicScratch* get() const { return scratch_.get(); }
+Result<std::shared_ptr<const RankedPtqResult>> ClaimSlot::ExecuteRanked(
+    DriverRequest request, DriverCounters* counters) {
+  DriverCounters local;
+  DriverCounters& c = counters != nullptr ? *counters : local;
+  request.scratch = Scratch();
+  auto result =
+      Guarded([&] { return ExecutionDriver::ExecuteRanked(request, &c); });
+  Count(c);
+  return result;
+}
 
- private:
-  const BatchQueryExecutor* owner_;
-  std::unique_ptr<MonotonicScratch> scratch_;
-};
+Result<PtqResult> ClaimSlot::Execute(DriverRequest request) {
+  DriverCounters c;
+  request.scratch = Scratch();
+  auto result = Guarded([&] { return ExecutionDriver::Execute(request, &c); });
+  Count(c);
+  return result;
+}
 
 std::unique_ptr<MonotonicScratch> BatchQueryExecutor::AcquireScratch() const {
   {
@@ -74,116 +124,96 @@ BatchQueryExecutor::~BatchQueryExecutor() = default;
 
 int BatchQueryExecutor::num_threads() const { return pool_->num_threads(); }
 
+void BatchQueryExecutor::RunClaimLoop(
+    const std::function<void(ClaimSlot&)>& loop,
+    BatchRunReport* report) const {
+  ClaimSlot::RunState run;
+  run.loop = &loop;
+  run.tallies.resize(static_cast<size_t>(pool_->num_threads()));
+  std::exception_ptr error;
+  {
+    ClaimSlot caller(this, &run, 0);
+    try {
+      loop(caller);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    run.tallies[0] = caller.tally;
+  }
+  // Helpers borrow this frame, so every one is waited for even when the
+  // caller's loop threw.
+  for (std::future<void>& helper : run.helpers) {
+    try {
+      helper.get();
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
+  if (report == nullptr) return;
+  *report = BatchRunReport{};
+  report->num_threads = pool_->num_threads();
+  for (const ClaimSlotTally& t : run.tallies) {
+    report->items_per_thread.push_back(t.items);
+    report->query_cache_hits += t.compile_hits;
+    report->result_cache_hits += t.result_hits;
+    report->result_cache_misses += t.result_misses;
+    report->mappings_pruned += t.mappings_pruned;
+    report->items_aborted += t.aborted;
+    report->items_aborted_in_kernel += t.aborted_in_kernel;
+  }
+}
+
 template <typename Answer>
 std::vector<Result<Answer>> BatchQueryExecutor::RunItems(
     const std::vector<BatchQueryItem>& batch,
     const std::shared_ptr<const PreparedSchemaPair>& default_pair,
-    BatchRunReport* report, const BatchCacheContext* cache,
-    const BatchRunControl* control) const {
+    BatchRunReport* report, const BatchCacheContext* cache) const {
   constexpr bool kRanked = !std::is_same_v<Answer, PtqResult>;
   const size_t n = batch.size();
   // Every slot is overwritten by the worker that claims its item, so the
   // placeholder is never observed; an empty message keeps the fill free
   // of one heap allocation per item.
   std::vector<Result<Answer>> results(n, Result<Answer>(Status::Internal("")));
-  if (report != nullptr) {
-    *report = BatchRunReport{};
-    report->num_threads = pool_->num_threads();
-    report->items_per_thread.assign(
-        static_cast<size_t>(pool_->num_threads()), 0);
-  }
-
   ResultCache* result_cache = cache != nullptr ? cache->results : nullptr;
   const uint64_t epoch = cache != nullptr ? cache->epoch : 0;
 
-  // One long-lived claim loop per worker slot (not one task per item):
-  // each slot owns its counters for the whole run, and the atomic cursor
-  // gives dynamic balancing without any queue contention per item.
-  const int slots = pool_->num_threads();
-  std::vector<WorkerScratch> scratch(static_cast<size_t>(slots));
   std::atomic<size_t> cursor{0};
-
-  auto run_slot = [&](size_t slot) {
-    WorkerScratch& ws = scratch[slot];
-    const ScratchLease arena(this);
-    for (;;) {
-      const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      const BatchQueryItem& item = batch[i];
-      ++ws.items;
-      // The whole item is inside the try so any throw — compile, evaluate,
-      // even bad_alloc on a result assignment — fails only this slot and
-      // never escapes the Result-returning API.
-      try {
-        const PreparedSchemaPair* pair =
-            item.pair != nullptr ? item.pair.get() : default_pair.get();
-        if (pair == nullptr) {
-          results[i] =
-              Status::InvalidArgument("item has no prepared schema pair");
-          continue;
-        }
-        if (item.doc == nullptr) {
-          results[i] = Status::InvalidArgument("item has a null document");
-          continue;
-        }
-        DriverRequest request;
-        request.pair = pair;
-        request.doc = item.doc;
-        request.twig = &item.twig;
-        request.options = options_.ptq;
-        if (item.top_k > 0) request.options.top_k = item.top_k;
-        request.use_block_tree = options_.use_block_tree;
-        request.scratch = arena.get();
-        request.cache = result_cache;
-        request.epoch = item.epoch != 0 ? item.epoch : epoch;
-        if (control != nullptr) {
-          request.upper_bound = item.priority;
-          request.cancel_threshold = item.cancel_threshold != nullptr
-                                         ? item.cancel_threshold
-                                         : control->cancel_threshold;
-          request.budget = control->budget;
-        }
-        DriverCounters counters;
-        if constexpr (kRanked) {
-          results[i] = ExecutionDriver::ExecuteRanked(request, &counters);
-        } else {
-          results[i] = ExecutionDriver::Execute(request, &counters);
-        }
-        ws.compile_hits += counters.compile_hit ? 1 : 0;
-        ws.result_hits += counters.result_hit ? 1 : 0;
-        ws.result_misses += counters.result_miss ? 1 : 0;
-        ws.mappings_pruned += counters.select.skipped;
-        ws.aborted += counters.cancelled ? 1 : 0;
-        ws.aborted_in_kernel += counters.cancelled_in_kernel ? 1 : 0;
-        if constexpr (kRanked) {
-          if (control != nullptr && control->on_item_done) {
-            control->on_item_done(i, results[i]);
+  RunClaimLoop(
+      [&](ClaimSlot& slot) {
+        for (;;) {
+          const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+          if (i >= n) return;
+          slot.Recruit(n - i - 1);
+          const BatchQueryItem& item = batch[i];
+          const PreparedSchemaPair* pair =
+              item.pair != nullptr ? item.pair.get() : default_pair.get();
+          if (pair == nullptr || item.doc == nullptr) {
+            ++slot.tally.items;
+            results[i] = Status::InvalidArgument(
+                pair == nullptr ? "item has no prepared schema pair"
+                                : "item has a null document");
+            continue;
+          }
+          DriverRequest request;
+          request.pair = pair;
+          request.doc = item.doc;
+          request.twig = &item.twig;
+          request.options = options_.ptq;
+          if (item.top_k > 0) request.options.top_k = item.top_k;
+          request.use_block_tree = options_.use_block_tree;
+          request.cache = result_cache;
+          request.epoch = item.epoch != 0 ? item.epoch : epoch;
+          if constexpr (kRanked) {
+            results[i] = slot.ExecuteRanked(request);
+          } else {
+            results[i] = slot.Execute(request);
           }
         }
-      } catch (const std::exception& e) {
-        results[i] = Status::Internal(std::string("evaluation threw: ") +
-                                      e.what());
-      } catch (...) {
-        results[i] = Status::Internal("evaluation threw a non-std exception");
-      }
-    }
-  };
-
-  // ParallelFor(slots) runs each slot's claim loop on its own thread
-  // (the calling thread doubles as one of them).
-  pool_->ParallelFor(static_cast<size_t>(slots), run_slot);
+      },
+      report);
 
   if (report != nullptr) {
-    report->items_per_thread.clear();
-    for (const WorkerScratch& ws : scratch) {
-      report->items_per_thread.push_back(ws.items);
-      report->query_cache_hits += ws.compile_hits;
-      report->result_cache_hits += ws.result_hits;
-      report->result_cache_misses += ws.result_misses;
-      report->mappings_pruned += ws.mappings_pruned;
-      report->items_aborted += ws.aborted;
-      report->items_aborted_in_kernel += ws.aborted_in_kernel;
-    }
     // Sample compiler stats from the default pair, or — for pair-carried
     // runs like corpus fan-outs — from the first item's pair, so corpus
     // batch reports keep their compiler counters.
@@ -205,18 +235,16 @@ std::vector<Result<PtqResult>> BatchQueryExecutor::Run(
     const std::vector<BatchQueryItem>& batch,
     const std::shared_ptr<const PreparedSchemaPair>& default_pair,
     BatchRunReport* report, const BatchCacheContext* cache) const {
-  return RunItems<PtqResult>(batch, default_pair, report, cache,
-                             /*control=*/nullptr);
+  return RunItems<PtqResult>(batch, default_pair, report, cache);
 }
 
 std::vector<Result<std::shared_ptr<const RankedPtqResult>>>
 BatchQueryExecutor::RunRanked(
     const std::vector<BatchQueryItem>& batch,
     const std::shared_ptr<const PreparedSchemaPair>& default_pair,
-    BatchRunReport* report, const BatchCacheContext* cache,
-    const BatchRunControl* control) const {
-  return RunItems<std::shared_ptr<const RankedPtqResult>>(
-      batch, default_pair, report, cache, control);
+    BatchRunReport* report, const BatchCacheContext* cache) const {
+  return RunItems<std::shared_ptr<const RankedPtqResult>>(batch, default_pair,
+                                                          report, cache);
 }
 
 }  // namespace uxm

@@ -17,10 +17,17 @@
 // balancing, and every answer is written to its input slot, so results
 // are always in input order and bit-identical regardless of thread count
 // or cache state.
+//
+// The claim primitive (RunClaimLoop) is shared with the bounded corpus
+// scheduler (corpus/bounded_scheduler.cc): the calling thread runs a
+// claim loop as slot 0, and its first evaluation recruits up to W - 1 of
+// the pool's workers, once per run, to run the same loop. Each slot
+// leases one scratch arena and keeps its own tallies, so the claim hot
+// path takes no shared lock, and a run that never evaluates (every item
+// pruned or served from a cache) wakes no thread.
 #ifndef UXM_EXEC_BATCH_EXECUTOR_H_
 #define UXM_EXEC_BATCH_EXECUTOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -55,42 +62,6 @@ struct BatchQueryItem {
   /// pair. Corpus runs set it per document, which is what lets one batch
   /// span documents prepared under different schema pairs.
   std::shared_ptr<const PreparedSchemaPair> pair;
-  /// Upper bound on the probability of any answer this item can produce
-  /// (see QueryPlan::AnswerUpperBound) — the item's dispatch priority.
-  /// Workers claim items in index order, so a caller encodes priority by
-  /// sorting the batch descending on this field (the corpus scheduler
-  /// does); with a BatchRunControl threshold bound, it is also the bound
-  /// the driver cancels against. Ignored without a control.
-  double priority = 0.0;
-  /// Per-item cancel threshold override; null inherits the run's
-  /// BatchRunControl threshold. The cross-twig corpus scheduler mixes
-  /// items of several twigs into one dispatch and each twig races its
-  /// OWN top-k, so each item must cancel against its own twig's
-  /// threshold. Ignored without a control.
-  const std::atomic<double>* cancel_threshold = nullptr;
-};
-
-/// \brief Optional per-Run hooks for bound-driven scheduling (the corpus
-/// Threshold-Algorithm driver). Both fields are optional.
-struct BatchRunControl {
-  /// Shared, monotonically rising answer-probability threshold: items
-  /// whose priority (upper bound) falls below it abort with
-  /// Status::Cancelled instead of evaluating (see plan/driver.h).
-  const std::atomic<double>* cancel_threshold = nullptr;
-  /// Called once per completed item, ON THE WORKER THREAD that ran it,
-  /// with the item's batch index and its (shared, ranked) result — before
-  /// RunRanked returns. The corpus scheduler uses it to fold finished
-  /// answers into its global top-k and raise the threshold mid-run, which
-  /// is what lets later items of the same dispatch abort in flight. Must
-  /// be thread-safe; must not call back into this executor.
-  std::function<void(size_t,
-                     const Result<std::shared_ptr<const RankedPtqResult>>&)>
-      on_item_done;
-  /// Shared deadline/evaluation budget of an anytime corpus run
-  /// (corpus/run_budget.h); copied into every item's DriverRequest. Null
-  /// = unbudgeted. See DriverRequest::budget for the polling and
-  /// cache-poisoning rules it triggers.
-  RunBudget* budget = nullptr;
 };
 
 /// \brief Executor configuration.
@@ -128,8 +99,9 @@ struct BatchRunReport {
   /// Work units never consumed thanks to early-termination top-k, summed
   /// over this run's items (0 for untruncated/top-k-less traffic).
   int mappings_pruned = 0;
-  /// Items aborted in flight by a BatchRunControl cancel threshold
-  /// (their result slots hold Status::Cancelled).
+  /// Items the driver aborted with Status::Cancelled: the corpus
+  /// scheduler's cancel threshold or run budget (see
+  /// DriverRequest::cancel_threshold). Always 0 for Run and RunRanked.
   int items_aborted = 0;
   /// The subset of items_aborted whose abort happened INSIDE the
   /// evaluation kernel (the threshold overtook the item after its
@@ -144,6 +116,60 @@ struct BatchRunReport {
   ResultCacheStats result_cache;
 };
 
+class BatchQueryExecutor;
+
+/// Per-slot tallies of a claim run, summed into BatchRunReport after it.
+struct ClaimSlotTally {
+  int items = 0;  ///< items this slot evaluated (or rejected) itself
+  int compile_hits = 0;
+  int result_hits = 0;
+  int result_misses = 0;
+  int mappings_pruned = 0;
+  int aborted = 0;
+  int aborted_in_kernel = 0;
+};
+
+/// \brief One participant of a claim run (BatchQueryExecutor::
+/// RunClaimLoop): the calling thread (slot 0) or a pool helper it
+/// recruited. A slot is touched only by its own thread.
+class ClaimSlot {
+ public:
+  ~ClaimSlot();
+  ClaimSlot(const ClaimSlot&) = delete;
+  ClaimSlot& operator=(const ClaimSlot&) = delete;
+
+  /// Evaluates `request` through ExecutionDriver::ExecuteRanked (or
+  /// Execute) on this slot's leased arena and tallies it, counters
+  /// included. An exception fails only this request, as Status::Internal.
+  Result<std::shared_ptr<const RankedPtqResult>> ExecuteRanked(
+      DriverRequest request, DriverCounters* counters = nullptr);
+  Result<PtqResult> Execute(DriverRequest request);
+
+  /// Call before each driver evaluation. The first call on slot 0 wakes
+  /// min(W - 1, `unclaimed`) pool helpers, which run the same claim loop
+  /// as slots 1.., and returns true; every later call, and every call on
+  /// a helper, does nothing and returns false.
+  bool Recruit(size_t unclaimed);
+
+  ClaimSlotTally tally;
+
+ private:
+  friend class BatchQueryExecutor;
+  struct RunState;
+  ClaimSlot(const BatchQueryExecutor* executor, RunState* run, size_t index)
+      : executor_(executor), run_(run), index_(index) {}
+
+  /// The slot's arena, leased on first use and returned on destruction.
+  MonotonicScratch* Scratch();
+  /// Tallies one driver call.
+  void Count(const DriverCounters& counters);
+
+  const BatchQueryExecutor* executor_;
+  RunState* run_;
+  size_t index_;
+  std::unique_ptr<MonotonicScratch> scratch_;
+};
+
 /// \brief Fans a batch of PTQs out across a fixed thread pool.
 ///
 /// Run keeps all per-run state (cursor, scratch, result slots) on its own
@@ -151,8 +177,8 @@ struct BatchRunReport {
 /// share the pool's workers. No fairness is promised, though: the pool's
 /// queue is FIFO, so a small Run issued while a large one occupies every
 /// worker completes its items on the calling thread but still waits for
-/// the earlier batch before returning. Latency-sensitive callers should
-/// use their own executor.
+/// the helpers it recruited to get through the queue before returning.
+/// Latency-sensitive callers should use their own executor.
 class BatchQueryExecutor {
  public:
   explicit BatchQueryExecutor(BatchExecutorOptions options = {});
@@ -176,15 +202,22 @@ class BatchQueryExecutor {
 
   /// Run's corpus form: every slot holds the item's shared
   /// RankedPtqResult (ExecutionDriver::ExecuteRanked — a result-cache hit
-  /// is the cached entry itself, never a copy). `control` (optional)
-  /// threads the corpus scheduler's cancel thresholds, budget and
-  /// completion hook through the run (see BatchRunControl).
+  /// is the cached entry itself, never a copy).
   std::vector<Result<std::shared_ptr<const RankedPtqResult>>> RunRanked(
       const std::vector<BatchQueryItem>& batch,
       const std::shared_ptr<const PreparedSchemaPair>& default_pair,
       BatchRunReport* report = nullptr,
-      const BatchCacheContext* cache = nullptr,
-      const BatchRunControl* control = nullptr) const;
+      const BatchCacheContext* cache = nullptr) const;
+
+  /// The one claim primitive behind Run, RunRanked and the bounded
+  /// corpus scheduler. Runs `loop` on the calling thread as slot 0, and
+  /// on every helper that slot recruits (ClaimSlot::Recruit); returns
+  /// once all of them have returned. `loop` claims items from a cursor
+  /// the caller owns and returns when it is exhausted. When `report` is
+  /// non-null it receives num_threads, items_per_thread and the summed
+  /// slot tallies (the cumulative cache samples are the caller's).
+  void RunClaimLoop(const std::function<void(ClaimSlot&)>& loop,
+                    BatchRunReport* report) const;
 
   int num_threads() const;
 
@@ -193,23 +226,22 @@ class BatchQueryExecutor {
   const BatchExecutorOptions& options() const { return options_; }
 
  private:
-  friend class ScratchLease;
+  friend class ClaimSlot;
 
   /// Checks an arena out of the pool (creating one if empty) / back in.
-  /// Leases span one worker slot's whole claim loop, so an arena is only
-  /// ever touched by one thread at a time and its capacity — grown to the
-  /// workload's high-water mark — is recycled across Runs.
+  /// A lease spans one slot's whole claim loop, so an arena is only ever
+  /// touched by one thread at a time and its capacity — grown to the
+  /// workload's high-water mark — is recycled across runs.
   std::unique_ptr<MonotonicScratch> AcquireScratch() const;
   void ReleaseScratch(std::unique_ptr<MonotonicScratch> scratch) const;
 
-  /// The shared worker loop of Run (Answer = PtqResult) and RunRanked
+  /// The shared claim loop of Run (Answer = PtqResult) and RunRanked
   /// (Answer = the shared RankedPtqResult).
   template <typename Answer>
   std::vector<Result<Answer>> RunItems(
       const std::vector<BatchQueryItem>& batch,
       const std::shared_ptr<const PreparedSchemaPair>& default_pair,
-      BatchRunReport* report, const BatchCacheContext* cache,
-      const BatchRunControl* control) const;
+      BatchRunReport* report, const BatchCacheContext* cache) const;
 
   BatchExecutorOptions options_;
   std::unique_ptr<ThreadPool> pool_;

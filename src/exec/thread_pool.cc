@@ -1,8 +1,5 @@
 #include "exec/thread_pool.h"
 
-#include <atomic>
-#include <exception>
-
 namespace uxm {
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -28,42 +25,6 @@ void ThreadPool::WorkerLoop() {
     }
     task();  // packaged_task: exceptions land in the caller's future
   }
-}
-
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  std::atomic<size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-
-  auto worker = [&]() {
-    for (;;) {
-      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n || failed.load(std::memory_order_relaxed)) return;
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
-  // The calling thread participates too, so ParallelFor makes progress
-  // even when every pool worker is busy with other work.
-  std::vector<std::future<void>> futures;
-  const size_t helpers = static_cast<size_t>(num_threads());
-  futures.reserve(helpers);
-  for (size_t t = 0; t < helpers; ++t) {
-    auto f = Submit(worker);
-    if (f.valid()) futures.push_back(std::move(f));
-  }
-  worker();
-  for (auto& f : futures) f.get();
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 void ThreadPool::Shutdown() {

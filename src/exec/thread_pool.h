@@ -1,14 +1,16 @@
 // A fixed-size thread pool with a single shared FIFO queue. Deliberately
 // minimal: no work stealing, no priorities, no dynamic sizing — the batch
-// executor layered on top (exec/batch_executor.h) does its own dynamic
-// load balancing with an atomic cursor, so the pool only needs to run
-// opaque tasks and shut down cleanly.
+// executor layered on top (exec/batch_executor.h) submits one claim-loop
+// task per recruited helper and balances load with an atomic cursor, so
+// the pool only needs to run opaque tasks and shut down cleanly. Nothing
+// that runs as a pool task may block on other pool tasks: the corpus
+// paths run their whole claim loop on the calling thread plus helpers,
+// with no coordinator thread of their own.
 //
 // Exception safety: tasks are wrapped in std::packaged_task, so an
 // exception escaping a task is captured into the returned future and
 // rethrown at future.get(); worker threads never die from a throwing
-// task. ParallelFor rethrows the first captured exception in the calling
-// thread after every worker has finished.
+// task.
 #ifndef UXM_EXEC_THREAD_POOL_H_
 #define UXM_EXEC_THREAD_POOL_H_
 
@@ -54,13 +56,6 @@ class ThreadPool {
     return future;
   }
 
-  /// Runs fn(0) .. fn(n-1) across the pool's workers with dynamic
-  /// (atomic-cursor) scheduling and blocks until every index has run.
-  /// The first exception thrown by any fn(i) is rethrown here after all
-  /// workers finish; remaining indices may be skipped once an exception
-  /// is observed.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
   /// Stops accepting work, runs every already-queued task, joins all
   /// workers. Idempotent; safe to call concurrently with Submit.
   void Shutdown();
@@ -81,44 +76,6 @@ class ThreadPool {
   bool stopping_ = false;
   int num_threads_ = 0;
   std::vector<std::thread> workers_;
-};
-
-/// \brief A handful of dedicated threads joined on scope exit.
-///
-/// For short-lived coordinator/driver threads that themselves DISPATCH
-/// into a ThreadPool and block on the result — the sharded corpus
-/// coordinator's per-shard schedulers (shard/sharded_corpus_executor.h)
-/// are the motivating case. Such drivers must NOT run as pool tasks: a
-/// driver occupying a pool worker while its nested ParallelFor waits for
-/// slot tasks queued behind OTHER blocked drivers is a deadlock cycle.
-/// Dedicated threads keep the pool's workers free for actual work, and
-/// join-on-destruction keeps an exception on the spawning path from
-/// leaking a running thread.
-class ScopedThreads {
- public:
-  ScopedThreads() = default;
-  ~ScopedThreads() { JoinAll(); }
-
-  ScopedThreads(const ScopedThreads&) = delete;
-  ScopedThreads& operator=(const ScopedThreads&) = delete;
-
-  /// Spawns a thread running `fn`. The callable must not throw — there
-  /// is no future to carry the exception; marshal failures through
-  /// captured state instead.
-  template <typename F>
-  void Spawn(F&& fn) {
-    threads_.emplace_back(std::forward<F>(fn));
-  }
-
-  /// Joins every spawned thread. Idempotent.
-  void JoinAll() {
-    for (std::thread& t : threads_) {
-      if (t.joinable()) t.join();
-    }
-  }
-
- private:
-  std::vector<std::thread> threads_;
 };
 
 }  // namespace uxm

@@ -56,7 +56,7 @@ MonotonicScratch* ThreadLocalScratch();
 /// then also abandon the evaluation once the flag is set, and the kernel
 /// reads the clock itself against `deadline` so even a single stuck
 /// evaluation expires the whole run (publishing the flag for everyone
-/// else) within one poll interval instead of at the next wave boundary.
+/// else) within one poll interval instead of when the evaluation ends.
 /// Unlike a threshold cancel, a budget cancel is NOT exactness-preserving:
 /// the scheduler charges the item's bound to the twig's certified
 /// residual (see CorpusQueryResult::max_residual_bound).

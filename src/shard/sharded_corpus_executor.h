@@ -1,51 +1,27 @@
-// The one corpus entry point: scatter-gather execution over a sharded
-// corpus — one bounded TA scheduler per non-empty shard, racing against
-// SHARED per-twig thresholds, k-way-merged by the coordinator. An
-// unsharded corpus is simply S = 1: its lone scheduler runs inline on the
-// caller thread, with no thread spawned.
+// The one corpus entry point. Run resolves the document selection against
+// the corpus snapshot's merged, name-sorted view and takes one of two
+// paths:
 //
-// The protocol, in terms of the shared engine (corpus/bounded_scheduler.h):
+//   bounded — options.bounded with top_k > 0: the Threshold-Algorithm
+//     scheduler (corpus/bounded_scheduler.h) runs ONE claim loop over
+//     every (twig, document) item of the batch, on the calling thread
+//     plus the pool helpers its first evaluation recruits. The same loop
+//     serves every shard count: S (the snapshot's shard count) only
+//     labels items for CorpusBatchResponse::shard_reports, one entry per
+//     shard at S >= 2, read off the run's per-item disposition record —
+//     so items_total == evaluated + pruned + aborted + failed holds per
+//     shard AND in aggregate, and the entries sum to the aggregate.
 //
-//   scatter — the coordinator resolves the document selection against
-//     the merged view, partitions it into the S per-shard slices (by the
-//     same stable name hash the store routes with), and allocates ONE
-//     TwigRace per twig. The caller thread runs the first non-empty
-//     slice, and every other non-empty slice gets its own driver thread.
-//     Each runs the full bound phase + wave loop over its slice — so the
-//     per-document bound probes, the dominant fixed cost on a corpus the
-//     thresholds prune well, parallelize across shards instead of
-//     serializing in one scheduler.
+//   exhaustive — otherwise: one claim run over all items
+//     (BatchQueryExecutor::RunRanked), merged per twig. It ignores
+//     budgets by design; it is the oracle the differential tests compare
+//     bounded runs against.
 //
-//   global threshold — the races are shared: an answer found by any
-//     shard raises its twig's k-th-best threshold for every shard, so a
-//     shard whose best remaining bound has fallen below the global k-th
-//     prunes its whole remainder without dispatching it ("returns
-//     immediately"), and in-flight items of other shards abort at the
-//     driver checks or inside the kernel (the PR 8 KernelCancelContext
-//     plumbing, fed through BatchQueryItem::cancel_threshold).
-//
-//   gather — once every driver has joined, the coordinator k-way-merges
-//     the races' per-document ranked lists (shared with the result-cache
-//     entries they came from, so nothing is copied until the <= k
-//     winners are materialized) with the AnswerBefore tie-breaks.
-//
-// Exactness: bit-identical for every S — pruning only ever drops items k
-// in-hand answers provably beat (the threshold is a monotone max that
-// starts below every bound), merging is schedule-independent by
-// AnswerBefore's total order, and debug builds re-evaluate every skipped
-// document and certify the merge (CertifyBoundedTopK). Pinned by the
-// tests/sharded_differential_test.cc sweep.
-//
-// Threading: all shards dispatch their waves into the ONE shared
-// BatchQueryExecutor pool (see README "Sharded corpus serving" for the
-// shared-pool-vs-per-shard-pools justification); driver threads are
-// dedicated ScopedThreads, never pool tasks (exec/thread_pool.h explains
-// the deadlock that forbids it). Reports: at S >= 2 each shard's
-// BoundedScheduleResult is surfaced verbatim as
-// CorpusBatchResponse::shard_reports[s], and at every S the global
-// CorpusRunReport is their field-by-field sum, so the per-scheduler
-// invariant items_total == evaluated + pruned + aborted + failed holds
-// per shard AND in aggregate.
+// Exactness: bit-identical for every S and every worker count — pruning
+// only ever drops items k in-hand answers provably beat, and merging is
+// schedule-independent by AnswerBefore's total order. Debug builds
+// re-evaluate every skipped document and certify the merge. Pinned by
+// tests/sharded_differential_test.cc and tests/schedule_fuzz_test.cc.
 #ifndef UXM_SHARD_SHARDED_CORPUS_EXECUTOR_H_
 #define UXM_SHARD_SHARDED_CORPUS_EXECUTOR_H_
 

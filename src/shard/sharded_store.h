@@ -23,11 +23,12 @@
 // cached under the old epoch structurally unreachable — no eager cache
 // sweep is ever needed for corpus membership changes.
 //
-// Sharding (in-process scatter-gather, shard/sharded_corpus_executor.h):
-// every document belongs to one of S shards by a stable hash of its NAME
-// (never of registration order, corpus size, or pointer identity), so the
-// same corpus always partitions the same way — across runs, across
-// processes, and across snapshot save/load. That stability is what makes
+// Sharding: every document belongs to one of S shards by a stable hash of
+// its NAME (never of registration order, corpus size, or pointer
+// identity), so the same corpus always partitions the same way — across
+// runs, across processes, and across snapshot save/load. Queries do not
+// run per shard: S only partitions the store and labels the bounded
+// runs' shard_reports. That stability is what makes
 // per-shard snapshot export a replica-bootstrap path: a replica that
 // loads shard s's snapshot holds exactly the documents any coordinator
 // would route to shard s.
@@ -74,9 +75,8 @@ using CorpusSnapshot = std::vector<CorpusDocument>;
 
 /// Default shard count: 1, on every host. A shard layout is a property of
 /// the serving state, not of the machine: with a host-derived default
-/// the same corpus partitioned (and accounted) differently on different
-/// hosts, and every sharded query paid one driver-thread spawn per
-/// shard. Sharding is opt-in through an explicit count.
+/// the same corpus would partition (and account) differently on
+/// different hosts. Sharding is opt-in through an explicit count.
 int DefaultShardCount();
 
 /// Stable shard assignment: FNV-1a-64 of the document name modulo

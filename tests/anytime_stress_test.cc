@@ -3,8 +3,8 @@
 // whose deadlines expire MID-RUN while mutator threads churn corpus
 // documents. The races under test are the shared RunBudget expiry flag
 // (published by whichever driver or kernel poll crosses the deadline
-// first, observed by every shard), the budget-drain classification in
-// the wave loop, and the usual publication handoffs. Answer content
+// first, observed by every claim slot), the budget classification in
+// the claim loop, and the usual publication handoffs. Answer content
 // legitimately varies per snapshot instant and per expiry timing, so
 // assertions are structural: the disposition invariant (with the budget
 // buckets), shard-sums-to-aggregate, exact => zero residual, and answers
@@ -116,7 +116,7 @@ TEST_F(AnytimeStressTest, ExpiringBudgetsRaceDocumentChurnSafely) {
         options.top_k = 3;
         options.probe_bounds = false;  // keep items in flight
         // Alternate budget shapes so expiry lands everywhere from
-        // "before the first wave" to "after the last": tight and loose
+        // "before the first claim" to "after the last": tight and loose
         // deadlines, evaluation-count budgets, and unlimited controls.
         switch ((iteration + r) % 4) {
           case 0:

@@ -624,12 +624,12 @@ TEST(TopKTrackerTest, TracksTheKthBestProbability) {
 
 // The deterministic bound-driven pruning scenario: a skewed multi-pair
 // corpus where hot documents answer with probability ~1 and every cold
-// pair's answer upper bound is ~0.11. With one shard and a single worker
-// the claim order is the bound order, so the scheduler's accounting is
-// exact: the hot documents evaluate, the cold documents of the first wave
-// abort in flight once the threshold rises, and the rest are pruned
-// undispatched — while the answers stay bit-identical to the exhaustive
-// fan-out.
+// pair's answer upper bound is ~0.11. With a single worker the claim
+// order is the bound order, so the scheduler's accounting is exact: the
+// hot documents evaluate and every cold document is pruned unevaluated —
+// while the answers stay bit-identical to the exhaustive fan-out. (Aborts
+// need a second worker: an item can only be cancelled in flight when
+// another slot raises the threshold while it runs.)
 TEST(BoundedCorpusTest, SkewedCorpusPrunesAbortsAndMatchesExhaustive) {
   SkewedCorpusOptions gen;
   gen.hot_documents = 2;
@@ -665,20 +665,20 @@ TEST(BoundedCorpusTest, SkewedCorpusPrunesAbortsAndMatchesExhaustive) {
   ASSERT_TRUE(b.ok()) << b.status();
   ASSERT_TRUE(b->answers[0].ok()) << b->answers[0].status();
 
-  // Wave 1 holds 8 items (2 hot + 6 cold, bound-descending). The first
-  // hot document fills the top-1 and raises the threshold to ~1.0; the
-  // second hot document ties the bound and still evaluates; the 6 cold
-  // items abort at the driver's cancellation check; the remaining 4
-  // cold items never dispatch.
+  // The one claim loop claims in bound order (2 hot, then 10 cold). The
+  // first hot document fills the top-1 and raises the threshold to ~1.0;
+  // the second hot document ties the bound and still evaluates; each of
+  // the 10 cold items (bound ~0.11) is pruned at its own claim, so none
+  // is evaluated or aborted.
   EXPECT_EQ(b->corpus.items_total, 12);
   EXPECT_EQ(b->corpus.items_evaluated, 2);
-  EXPECT_EQ(b->corpus.items_aborted, 6);
-  EXPECT_EQ(b->corpus.items_pruned, 4);
-  EXPECT_EQ(b->report.items_aborted, 6);  // executor saw the aborts too
+  EXPECT_EQ(b->corpus.items_aborted, 0);
+  EXPECT_EQ(b->corpus.items_pruned, 10);
+  EXPECT_EQ(b->report.items_aborted, 0);  // the driver cancelled nothing
   const CorpusQueryResult& result = *b->answers[0];
   EXPECT_EQ(result.documents_evaluated, 12);
-  EXPECT_EQ(result.documents_aborted, 6);
-  EXPECT_EQ(result.documents_pruned, 4);
+  EXPECT_EQ(result.documents_aborted, 0);
+  EXPECT_EQ(result.documents_pruned, 10);
   ASSERT_EQ(result.answers.size(), 1u);
   EXPECT_EQ(result.answers[0].document, "hot-00");
   EXPECT_NEAR(result.answers[0].probability, 1.0, 1e-9);
@@ -816,7 +816,7 @@ class SinglePairCorpusTest : public ::testing::Test {
  protected:
   void SetUp() override {
     SinglePairCorpusOptions gen;
-    gen.hot_documents = 8;  // exactly one wave on a single worker
+    gen.hot_documents = 8;  // more than top-5: the threshold fills
     gen.cold_documents = 24;
     gen.doc_target_nodes = 120;
     auto scenario = MakeSinglePairCorpusScenario(gen);
@@ -861,9 +861,11 @@ class SinglePairCorpusTest : public ::testing::Test {
 // under one pair, hence one shared pair-level bound) prunes, because the
 // document-sensitive probe sees that cold documents contain no `gold`
 // element and collapses their bounds to the dust-route mass. With one
-// shard and one worker the accounting is deterministic: wave 1 is exactly
-// the 8 hot documents, their answers raise the threshold above every cold
-// bound, and all 24 cold items are pruned undispatched.
+// worker the accounting is deterministic: the 8 hot documents are claimed
+// first (their bounds are highest); after the 5th the threshold is the
+// hot answer mass, which the remaining 3 hot bounds tie (so they still
+// evaluate) and every cold bound falls below, so all 24 cold items are
+// pruned at their claims.
 TEST_F(SinglePairCorpusTest, DocumentBoundsPruneAHomogeneousCorpus) {
   auto sys = MakeSystem(/*bound_cache=*/true, /*shards=*/1);
   CorpusQueryOptions bounded;
@@ -964,11 +966,10 @@ TEST_F(SinglePairCorpusTest, FailedTwigChargesItsItemsAndKeepsInvariant) {
   }
 }
 
-// The three single-scheduler tests above, run through S = 2 and 4 shard
-// schedulers. Concurrent shards make the evaluated / aborted / pruned
-// split host-dependent, so these pin what must not vary: the answers
-// equal the single scheduler's, and every item lands in exactly one
-// bucket of exactly one shard.
+// The three S = 1 tests above, run at S = 2 and 4. S only labels items
+// for shard_reports, so these pin what S must not change: the answers
+// equal S = 1's, and every item lands in exactly one bucket of exactly
+// one shard.
 constexpr int kShardCounts[] = {2, 4};
 
 TEST_F(SinglePairCorpusTest, ShardedDocumentBoundsMatchSingleScheduler) {
@@ -1123,10 +1124,10 @@ TEST(BoundedCorpusTest, ShardedSkewedCorpusMatchesSingleScheduler) {
   }
 }
 
-// A mid-wave evaluation failure (not a parse error: the document itself
+// A mid-run evaluation failure (not a parse error: the document itself
 // is broken) fails the twig with that document's status, and the twig's
-// undispatched leftovers are counted items_failed — the imbalance this
-// PR fixes left them in no bucket at all.
+// unevaluated leftovers are counted items_failed, so every item lands in
+// exactly one bucket.
 TEST(BoundedCorpusTest, MidWaveFailureChargesRemainingItemsAsFailed) {
   PaperExample example = MakePaperExample();
   auto bound =
@@ -1137,7 +1138,7 @@ TEST(BoundedCorpusTest, MidWaveFailureChargesRemainingItemsAsFailed) {
   auto pair = testutil::MakePaperPair(example);
 
   // Ten registrations of the one paper document; the name-first one has
-  // no annotation, so its item fails inside wave 1 with InvalidArgument.
+  // no annotation, so its item fails with InvalidArgument when claimed.
   CorpusSnapshot corpus;
   corpus.push_back(
       CorpusDocument{"00-bad", example.doc.get(), nullptr, 1, pair});
@@ -1165,10 +1166,12 @@ TEST(BoundedCorpusTest, MidWaveFailureChargesRemainingItemsAsFailed) {
   EXPECT_TRUE(response->answers[0].status().IsInvalidArgument());
   ExpectItemInvariant(response->corpus);
   EXPECT_EQ(response->corpus.items_total, 10);
-  // Wave 1 (8 items) held the broken document plus 7 healthy ones; the 2
-  // leftovers were never dispatched once their twig had failed.
-  EXPECT_EQ(response->corpus.items_evaluated, 7);
-  EXPECT_EQ(response->corpus.items_failed, 3);
+  // The broken document keeps its pair bound, which no healthy
+  // document's probed bound exceeds, and ties keep name order, so it is
+  // the first claim: it fails the twig, and each of the 9 healthy items
+  // is then charged items_failed at its own claim.
+  EXPECT_EQ(response->corpus.items_evaluated, 0);
+  EXPECT_EQ(response->corpus.items_failed, 10);
   EXPECT_EQ(response->corpus.items_pruned, 0);
   EXPECT_EQ(response->corpus.items_aborted, 0);
 }

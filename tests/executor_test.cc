@@ -84,27 +84,78 @@ TEST(ThreadPoolTest, DestructorJoinsWithoutShutdownCall) {
   EXPECT_EQ(ran.load(), 20);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
+// ----------------------------------------------------------- claim loop
+
+TEST(ClaimLoopTest, RecruitedHelpersCoverEveryItemExactlyOnce) {
+  BatchExecutorOptions options;
+  options.num_threads = 4;
+  BatchQueryExecutor executor(options);
   std::vector<std::atomic<int>> hits(257);
   for (auto& h : hits) h = 0;
-  pool.ParallelFor(hits.size(), [&hits](size_t i) { ++hits[i]; });
+  std::atomic<size_t> cursor{0};
+  BatchRunReport report;
+  executor.RunClaimLoop(
+      [&](ClaimSlot& slot) {
+        for (;;) {
+          const size_t i = cursor.fetch_add(1);
+          if (i >= hits.size()) return;
+          slot.Recruit(hits.size() - i - 1);
+          ++hits[i];
+          ++slot.tally.items;
+        }
+      },
+      &report);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  ASSERT_EQ(report.items_per_thread.size(), 4u);
+  int total = 0;
+  for (const int n : report.items_per_thread) total += n;
+  EXPECT_EQ(total, 257);
 }
 
-TEST(ThreadPoolTest, ParallelForRethrowsFirstException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.ParallelFor(64,
-                                [](size_t i) {
-                                  if (i == 13) {
-                                    throw std::runtime_error("boom");
-                                  }
-                                }),
+// A loop that never recruits runs on the calling thread alone.
+TEST(ClaimLoopTest, NoRecruitmentWakesNoHelper) {
+  BatchExecutorOptions options;
+  options.num_threads = 4;
+  BatchQueryExecutor executor(options);
+  const std::thread::id caller = std::this_thread::get_id();
+  int ran = 0;
+  BatchRunReport report;
+  executor.RunClaimLoop(
+      [&](ClaimSlot& slot) {
+        for (; ran < 16; ++ran) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+          ++slot.tally.items;
+        }
+      },
+      &report);
+  EXPECT_EQ(ran, 16);
+  EXPECT_EQ(report.items_per_thread, (std::vector<int>{16, 0, 0, 0}));
+}
+
+TEST(ClaimLoopTest, RethrowsAfterEveryHelperReturnedAndStaysUsable) {
+  BatchExecutorOptions options;
+  options.num_threads = 4;
+  BatchQueryExecutor executor(options);
+  std::atomic<size_t> cursor{0};
+  std::atomic<int> claimed{0};
+  EXPECT_THROW(executor.RunClaimLoop(
+                   [&](ClaimSlot& slot) {
+                     for (;;) {
+                       const size_t i = cursor.fetch_add(1);
+                       if (i >= 64) return;
+                       slot.Recruit(64 - i - 1);
+                       ++claimed;
+                       if (i == 13) throw std::runtime_error("boom");
+                     }
+                   },
+                   nullptr),
                std::runtime_error);
-  // The pool is still usable after a throwing ParallelFor.
+  // The throw ended one slot's loop only: the helpers drained the cursor,
+  // and RunClaimLoop rethrew after all of them had returned.
+  EXPECT_EQ(claimed.load(), 64);
   std::atomic<int> ran{0};
-  pool.ParallelFor(8, [&ran](size_t) { ++ran; });
-  EXPECT_EQ(ran.load(), 8);
+  executor.RunClaimLoop([&ran](ClaimSlot&) { ++ran; }, nullptr);
+  EXPECT_EQ(ran.load(), 1);
 }
 
 // ------------------------------------------------------------ executor

@@ -2,8 +2,8 @@
 // ThreadSanitizer: mutator threads add and remove corpus documents while
 // reader threads run sharded bounded corpus batches. Every batch runs
 // against one immutable published snapshot, so the races under test are
-// the publication handoff (store mutation vs snapshot grab), the
-// shard drivers' shared TwigRace state, and the registry Touch stamps —
+// the publication handoff (store mutation vs snapshot grab), the claim
+// slots' shared TwigRace state, and the registry Touch stamps —
 // not answer content, which legitimately differs per snapshot instant.
 // Each response must still be internally consistent: per-shard and
 // aggregate disposition invariants, and every answer naming a document
@@ -44,8 +44,8 @@ TEST_F(ShardedCorpusStressTest, MutationsRaceShardedBatchesSafely) {
   SystemOptions opts;
   opts.top_h.h = 16;
   opts.corpus_shards = 4;
-  // Uncached so every batch actually dispatches work into the racing
-  // shard schedulers instead of retiring on cache hits.
+  // Uncached so every batch actually evaluates work on the racing claim
+  // slots instead of retiring on cache hits.
   opts.cache.enable_result_cache = false;
   opts.cache.enable_bound_cache = false;
   UncertainMatchingSystem sys(opts);

@@ -1,6 +1,6 @@
 // Sharded corpus serving unit tests: the stable name-hash assignment,
 // the ShardedDocumentStore partition invariant, and the facade's sharded
-// scatter-gather path (shard reports, shard accessors, per-shard
+// path (shard reports, shard accessors, per-shard
 // snapshot export guards). The exactness sweep across shard counts lives
 // in sharded_differential_test.cc; the mutation/query race lives in
 // shard_stress_test.cc.
@@ -340,7 +340,7 @@ TEST_F(ShardedFacadeTest, ShardedBatchReportsPerShardAndSumsToGlobal) {
   CorpusRunReport sum;
   int populated = 0;
   for (const CorpusRunReport& shard : got->shard_reports) {
-    // The per-scheduler disposition invariant holds for every shard.
+    // The disposition invariant holds for every shard's items.
     EXPECT_EQ(shard.items_total, shard.items_evaluated + shard.items_pruned +
                                      shard.items_aborted +
                                      shard.items_failed);
@@ -365,13 +365,13 @@ TEST_F(ShardedFacadeTest, ShardedBatchReportsPerShardAndSumsToGlobal) {
   EXPECT_EQ(got->corpus.items_failed, sum.items_failed);
   EXPECT_EQ(got->corpus.dispatches, sum.dispatches);
   EXPECT_EQ(got->corpus.items_deadline_skipped, sum.items_deadline_skipped);
-  // elapsed_ns aggregates as total scheduler-nanoseconds across shards.
+  // elapsed_ns is the run's time, apportioned across the shard entries.
   EXPECT_EQ(got->corpus.elapsed_ns, sum.elapsed_ns);
   EXPECT_GT(got->corpus.elapsed_ns, 0);
   EXPECT_EQ(got->corpus.items_total,
             static_cast<int>(twigs.size() * scenario_->names.size()));
 
-  // The single-scheduler path leaves shard_reports empty.
+  // S = 1 leaves shard_reports empty.
   auto unsharded = MakeSystem(1);
   auto single = unsharded->RunCorpusBatch(twigs, options, run);
   ASSERT_TRUE(single.ok()) << single.status();

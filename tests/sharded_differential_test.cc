@@ -197,11 +197,10 @@ TEST_F(ShardedDifferentialTest, RacingShardsWithoutProbesStayExact) {
 
 TEST(ShardedPruningTest, SkewedCorpusPrunesAcrossShardsAndStaysExact) {
   // Sized so pruning fires DETERMINISTICALLY, not just probably: with
-  // 48 documents over 4 shards every slice spans multiple waves (a wave
-  // is at least 8 items), and with k=1 a hot document — sorted first in
-  // its shard by its pair-level bound — fills the tracker in its shard's
-  // first wave, so that shard's own later waves prune no matter how the
-  // other shards' timing resolves.
+  // k=1 a hot document — sorted first by its bound — fills the tracker
+  // long before the last of the 48 items is claimed, and every cold
+  // document claimed after that prunes, no matter how the workers'
+  // timing resolves.
   SinglePairCorpusOptions gen;
   gen.hot_documents = 2;
   gen.cold_documents = 46;

@@ -25,9 +25,8 @@ Usage:
                          in the same run (default 2.0)
   [--min-batch-scaling X]  fail if BM_BatchPtq/1 is not at least X times
                          slower than BM_BatchPtq/4 (multi-core scaling
-                         floor; skipped when the run's host has fewer
-                         than 4 CPUs, so it only bites on CI runners;
-                         default 0 = off)
+                         floor; a multi-CPU gate, see below; default
+                         0 = off)
   [--min-snapshot-speedup X]  fail if restoring a serving-ready system
                          from a snapshot (BM_SnapshotLoad) is not at
                          least X times faster than the full cold
@@ -43,16 +42,13 @@ Usage:
                          pair-level bound — so this speedup exists only
                          while the document-sensitive bound cache
                          separates cold documents from hot ones.
-  [--min-shard-speedup X]  fail if BM_ShardedCorpusTopK/8 is not at
-                         least X times faster than BM_ShardedCorpusTopK/1
-                         in the same run (default 0 = off; CI passes
-                         1.5). Both runs evaluate the identical item set
-                         with a one-worker executor pool, so the ratio
-                         is purely the per-shard schedulers carrying
-                         their waves on dedicated driver threads —
-                         skipped when the host has fewer than 4 CPUs,
-                         where there is nothing for the drivers to
-                         spread over.
+  [--min-worker-scaling X]  fail if BM_ShardedCorpusTopK/4 or
+                         BM_ShardedCorpusBatch/4 (4 pool workers) is not
+                         at least X times faster than the same benchmark's
+                         /1 (1 worker) in the same run — at 1.0, more
+                         workers must never make a corpus query slower (a
+                         multi-CPU gate, see below; default 0 = off; CI
+                         passes 1.0)
   [--max-deadline-overshoot US]  fail if any BM_AnytimeCorpusTopK/N run
                          (N = the per-run deadline budget in
                          microseconds) took longer than N + US
@@ -60,10 +56,14 @@ Usage:
                          protocol's promise is that an expired budget
                          comes back within roughly one kernel poll
                          interval, not eventually (default 0 = off; CI
-                         passes 5000). Skipped when the host has fewer
-                         than 4 CPUs, where the shard drivers oversubscribe
-                         the core and a stalled driver thread can overshoot
-                         through no fault of the protocol.
+                         passes 5000; a multi-CPU gate, see below).
+
+Multi-CPU gates (--min-batch-scaling, --min-worker-scaling,
+--max-deadline-overshoot) need a host with at least 4 CPUs, read from the
+JSON's context.num_cpus. On a smaller host they are skipped with a NOTE —
+unless the CI environment variable is set (non-empty), in which case the
+check FAILS instead: a CI runner too small to measure a gate must not pass
+it silently.
 
 A second same-run invariant guards the early-termination top-k engine:
 BM_PrunedTopK (driver, stops at the k-th relevant mapping) must not be
@@ -85,6 +85,7 @@ Updating the baseline (after an intentional perf change, Release build):
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -98,6 +99,26 @@ GATED = re.compile(
 # BM_PrunedTopK may be at most this many times slower than BM_UnprunedTopK
 # in the same run (it should be faster; the margin absorbs runner noise).
 PRUNED_MAX_RATIO = 1.5
+
+# Multi-CPU gates measure parallel speedups or latency under a busy pool;
+# they are only meaningful on hosts with at least this many CPUs.
+MIN_GATE_CPUS = 4
+
+
+def multi_cpu_host(context, gate, failures):
+    """True when the run's host can measure a multi-CPU gate. Otherwise
+    the gate is skipped with a NOTE, or — when the CI environment variable
+    is set — recorded as a failure, so CI never skips a gate silently."""
+    num_cpus = int(context.get("num_cpus", 0) or 0)
+    if num_cpus >= MIN_GATE_CPUS:
+        return True
+    if os.environ.get("CI"):
+        failures.append("%s needs a host with >= %d CPUs, but the run's "
+                        "host has %d (CI is set, so it may not be skipped)"
+                        % (gate, MIN_GATE_CPUS, num_cpus))
+    else:
+        print("NOTE  %s skipped (host has %d CPUs)" % (gate, num_cpus))
+    return False
 
 
 def load(path):
@@ -128,7 +149,7 @@ def main():
     parser.add_argument("--min-batch-scaling", type=float, default=0.0)
     parser.add_argument("--min-snapshot-speedup", type=float, default=0.0)
     parser.add_argument("--min-docbound-speedup", type=float, default=0.0)
-    parser.add_argument("--min-shard-speedup", type=float, default=0.0)
+    parser.add_argument("--min-worker-scaling", type=float, default=0.0)
     parser.add_argument("--max-deadline-overshoot", type=float, default=0.0)
     args = parser.parse_args()
 
@@ -214,15 +235,9 @@ def main():
                 % (speedup, args.min_bounded_speedup))
         break
 
-    # Multi-core scaling floor for the batch executor. Only meaningful on
-    # hosts with enough cores, so the gate self-disables elsewhere (the
-    # dev container is 1-core; CI runners are 4-core).
+    # Multi-core scaling floor for the batch executor (a multi-CPU gate).
     if args.min_batch_scaling > 0:
-        num_cpus = int(context.get("num_cpus", 0) or 0)
-        if num_cpus < 4:
-            print("NOTE  batch scaling floor skipped (host has %d CPUs)"
-                  % num_cpus)
-        else:
+        if multi_cpu_host(context, "batch scaling floor", failures):
             for suffix in ("/real_time", ""):
                 one = current.get("BM_BatchPtq/1" + suffix)
                 four = current.get("BM_BatchPtq/4" + suffix)
@@ -298,56 +313,46 @@ def main():
                             "BM_SinglePairCorpusExhaustive missing from %s"
                             % args.current)
 
-    # Same-run invariant: the sharded scatter-gather executor must turn
-    # its per-shard driver threads into wall-clock speedup. Both shard
-    # counts evaluate the identical item set on a one-worker pool, so the
-    # /1 vs /8 ratio is pure scheduler parallelism. Like the batch
-    # scaling floor, this is only observable with cores to spread over,
-    # so it self-disables on small hosts (the dev container is 1-core).
-    if args.min_shard_speedup > 0:
-        num_cpus = int(context.get("num_cpus", 0) or 0)
-        if num_cpus < 4:
-            print("NOTE  shard speedup floor skipped (host has %d CPUs)"
-                  % num_cpus)
-        else:
-            found = False
-            for suffix in ("/real_time", ""):
-                one = current.get("BM_ShardedCorpusTopK/1" + suffix)
-                eight = current.get("BM_ShardedCorpusTopK/8" + suffix)
-                if one is None or eight is None:
-                    continue
-                found = True
-                speedup = one / eight
-                verdict = ("FAIL" if speedup < args.min_shard_speedup
-                           else "ok")
-                print("%-5s sharded corpus speedup at 8 shards: %.2fx "
-                      "(need >= %.1fx)"
-                      % (verdict, speedup, args.min_shard_speedup))
-                if speedup < args.min_shard_speedup:
-                    failures.append(
-                        "BM_ShardedCorpusTopK/8 is only %.2fx faster than "
-                        "BM_ShardedCorpusTopK/1 (need >= %.1fx)"
-                        % (speedup, args.min_shard_speedup))
-                break
-            if not found:
-                failures.append("--min-shard-speedup set but "
-                                "BM_ShardedCorpusTopK/1//8 missing from %s"
-                                % args.current)
+    # Same-run invariant: the corpus scheduler's claim loop must never get
+    # slower with more workers. Both runs evaluate the same corpus at S = 1
+    # with caches off; /N is the pool's worker count (a multi-CPU gate).
+    if args.min_worker_scaling > 0:
+        if multi_cpu_host(context, "corpus worker scaling", failures):
+            for bench in ("BM_ShardedCorpusTopK", "BM_ShardedCorpusBatch"):
+                found = False
+                for suffix in ("/real_time", ""):
+                    one = current.get(bench + "/1" + suffix)
+                    four = current.get(bench + "/4" + suffix)
+                    if one is None or four is None:
+                        continue
+                    found = True
+                    scaling = one / four
+                    verdict = ("FAIL" if scaling < args.min_worker_scaling
+                               else "ok")
+                    print("%-5s %s scaling at 4 workers: %.2fx "
+                          "(need >= %.1fx)"
+                          % (verdict, bench, scaling,
+                             args.min_worker_scaling))
+                    if scaling < args.min_worker_scaling:
+                        failures.append(
+                            "%s/4 is only %.2fx faster than %s/1 "
+                            "(need >= %.1fx)"
+                            % (bench, scaling, bench,
+                               args.min_worker_scaling))
+                    break
+                if not found:
+                    failures.append("--min-worker-scaling set but %s/1//4 "
+                                    "missing from %s" % (bench, args.current))
 
     # Deadline-protocol invariant: an anytime run must come back within
     # its budget plus a small grace (one kernel poll interval plus merge
     # tail), whatever the corpus size. The budget is parsed from the
     # benchmark name (BM_AnytimeCorpusTopK/N = N microseconds); real_time
     # is per-iteration nanoseconds, so the bound is absolute, not a
-    # baseline ratio. Self-disables on small hosts, where the shard
-    # driver threads oversubscribe the core and the scheduler can stall
-    # them past any deadline through no fault of the protocol.
+    # baseline ratio. A multi-CPU gate: on a small host a descheduled run
+    # can overshoot any deadline through no fault of the protocol.
     if args.max_deadline_overshoot > 0:
-        num_cpus = int(context.get("num_cpus", 0) or 0)
-        if num_cpus < 4:
-            print("NOTE  deadline overshoot check skipped (host has %d CPUs)"
-                  % num_cpus)
-        else:
+        if multi_cpu_host(context, "deadline overshoot check", failures):
             found = False
             for name, time_ns in sorted(current.items()):
                 m = re.match(r"^BM_AnytimeCorpusTopK/(\d+)(/real_time)?$",
